@@ -22,16 +22,11 @@ import numpy as np
 from . import correlation, eigenmap, simulation
 from .exceptions import InvalidInputError, SignCorrError
 from .linalg import sym_eigen
-
-_METHODS = ("moment", "pairwise", "multivariate", "two-stage")
+from .simulation import _fmt
 
 
 class _InputError(Exception):
     """Input/usage problem detected after argument parsing (exit 2)."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _read_data_csv(path):
@@ -115,21 +110,13 @@ def cmd_estimate(args) -> int:
             raise _InputError(f"--ci level must lie in (0, 1), got {args.ci}")
 
     payload = {"method": method.replace("-", "_"), "p": int(p), "n": int(n)}
+    est = correlation.ESTIMATORS[method](data)
     if method == "two-stage":
-        if p != 2:
-            raise _InputError(f"two-stage estimation requires 2 columns, got {p}")
-        est = correlation.sscor_two_stage(data)
         payload["correlation"] = [[1.0, est.rho], [est.rho, 1.0]]
         if args.ci is not None:
             ci = correlation.confidence_interval(est, args.ci)
             payload["ci"] = {"lower": ci.lower, "upper": ci.upper, "level": ci.level}
     else:
-        func = {
-            "moment": correlation.moment_matrix,
-            "pairwise": correlation.pairwise_matrix,
-            "multivariate": correlation.multivariate_matrix,
-        }[method]
-        est = func(data)
         payload["correlation"] = est.matrix.tolist()
         if est.shape_estimate is not None:
             payload["shape"] = est.shape_estimate.tolist()
@@ -179,23 +166,11 @@ def cmd_eigenmap(args) -> int:
     return 0
 
 
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("SIGNCORR_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise _InputError(f"SIGNCORR_THREADS must be an integer: {env!r}") from exc
-    return 1
-
-
 def cmd_simulate(args) -> int:
     cfg = simulation.ExperimentConfig(
         family=args.dist, p=args.p, n=args.n, reps=args.reps, seed=args.seed
     )
-    result = simulation.run_experiment(cfg, threads=_thread_count(args))
+    result = simulation.run_experiment(cfg, threads=args.threads)
     sys.stdout.write(simulation.result_to_csv(result))
     return 0
 
@@ -214,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="estimate a correlation matrix from CSV data")
-    est.add_argument("--method", choices=_METHODS, required=True)
+    est.add_argument("--method", choices=tuple(correlation.ESTIMATORS), required=True)
     est.add_argument("--input", required=True, help="CSV file, rows = observations")
     est.add_argument("--ci", type=float, default=None, metavar="LEVEL",
                      help="confidence level for the two-stage method (p=2)")
@@ -234,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--reps", type=int, required=True)
     sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: SIGNCORR_THREADS or 1)")
+    sim.add_argument("--threads", type=int, default=1,
+                     help="worker threads (default: 1)")
     sim.set_defaults(func=cmd_simulate)
 
     fig = sub.add_parser("figure", help="eigenvalue scenario table (CSV to stdout)")

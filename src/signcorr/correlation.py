@@ -1,21 +1,20 @@
 """Correlation estimators built on the spatial sign covariance matrix.
 
-Four estimators are provided:
+* ``sscor`` -- bivariate spatial sign correlation;
+* ``sscor_two_stage`` -- the same after dividing each coordinate by its
+  MAD, which frees the asymptotic variance from the marginal scale ratio;
+* ``pairwise_matrix`` -- two-stage estimates for every pair of variables
+  (not positive semi-definite in general);
+* ``multivariate_matrix`` -- one SSCM of MAD-standardized data, rescaled
+  to a correlation matrix (positive semi-definite by construction).
 
-* ``sscor``            -- bivariate spatial sign correlation (closed-form
-                          eigenvalue inversion),
-* ``sscor_two_stage``  -- the same after dividing each coordinate by its
-                          MAD, which frees the asymptotic variance from the
-                          marginal scale ratio,
-* ``pairwise_matrix``  -- two-stage estimates for every pair of variables
-                          (not positive semi-definite in general),
-* ``multivariate_matrix`` -- SSCM of MAD-standardized data, eigenvalues
-                          mapped back by the fixed-point inversion, then
-                          rescaled to a correlation matrix; positive
-                          semi-definite by construction.
+All four run one shape fit: the SSCM eigenvalues are mapped back to shape
+eigenvalues by ``eigenmap.inverse`` (closed form at p=2, fixed point
+above) and set on the SSCM eigenvectors. At p=2 the multivariate estimate
+is therefore the two-stage estimate, up to rounding in the rescaling.
 
-``moment_matrix`` (plain Pearson) is included as the comparison baseline,
-and the asymptotic variance formulas give Wald confidence intervals for the
+``moment_matrix`` (plain Pearson) is the comparison baseline, and the
+asymptotic variance formulas give Wald confidence intervals for the
 two-stage estimator.
 """
 
@@ -32,7 +31,7 @@ from .exceptions import (
 )
 from .linalg import sym_eigen, to_correlation
 from .robust import as_data_matrix, mad
-from .sscm import SscmEstimate, sscm_auto
+from .sscm import sscm_auto
 
 
 @dataclass(frozen=True)
@@ -76,25 +75,52 @@ def asv_two_stage(rho: float) -> float:
     return asv_sscor(rho, 1.0)
 
 
-def _delta_from(est: SscmEstimate):
-    """Sign spectrum and eigenvectors of an SSCM estimate.
+def _validated(data, *, bivariate=False) -> np.ndarray:
+    x = as_data_matrix(data)
+    n, p = x.shape
+    if bivariate and p != 2:
+        raise InvalidInputError(f"bivariate estimator requires p == 2, got p={p}")
+    if p < 2:
+        raise InvalidInputError(f"need at least 2 variables, got p={p}")
+    if n < 3:
+        raise InvalidInputError(f"need at least 3 observations, got {n}")
+    return x
 
-    Eigenvalues are renormalized to sum one: when observations coincide
-    with the center the SSCM trace is n_effective / n rather than 1.
+
+def _standardized(x: np.ndarray) -> np.ndarray:
+    """Each column divided by its MAD; a zero MAD names its column."""
+    scales = np.empty(x.shape[1])
+    for j in range(x.shape[1]):
+        try:
+            scales[j] = mad(x[:, j])
+        except DegenerateScaleError as exc:
+            raise DegenerateScaleError(f"column {j}: {exc}") from exc
+    return x / scales
+
+
+def _shape_fit(z: np.ndarray) -> np.ndarray:
+    """Shape matrix of ``z`` rebuilt from its SSCM at the spatial median.
+
+    The SSCM eigenvalues are renormalized to sum one: when observations
+    coincide with the center the trace is n_effective / n.
     """
-    w, u = sym_eigen(est.matrix)
+    w, u = sym_eigen(sscm_auto(z).matrix)
     w = np.maximum(w, 0.0)
     total = w.sum()
     if total <= 0.0:
         raise DegenerateDataError("all observations coincide with the center")
-    return eigenmap.as_spectrum(w / total, kind="sign"), u
+    lam = eigenmap.inverse(eigenmap.as_spectrum(w / total, kind="sign"))
+    return (u * lam) @ u.T
 
 
-def _correlation_from_shape(v: np.ndarray) -> np.ndarray:
-    try:
-        return to_correlation(v)
-    except DegenerateScaleError as exc:
-        raise DegenerateDataError(f"degenerate shape estimate: {exc}") from exc
+def _pair_rho(v: np.ndarray) -> float:
+    if v[0, 0] <= 0.0 or v[1, 1] <= 0.0:
+        raise DegenerateDataError(
+            "sign covariance collapsed onto a coordinate axis; "
+            "correlation is undefined"
+        )
+    rho = v[0, 1] / np.sqrt(v[0, 0] * v[1, 1])
+    return float(np.clip(rho, -1.0, 1.0))
 
 
 def sscor(data) -> CorrelationEstimate:
@@ -104,48 +130,15 @@ def sscor(data) -> CorrelationEstimate:
     eigenvalues back to shape eigenvalues with the closed-form inversion
     and reads the correlation off the rebuilt shape matrix.
     """
-    x = as_data_matrix(data)
-    return _sscor_impl(x, "sscor")
-
-
-def _sscor_impl(x: np.ndarray, method: str) -> CorrelationEstimate:
-    n, p = x.shape
-    if p != 2:
-        raise InvalidInputError(f"bivariate estimator requires p == 2, got p={p}")
-    if n < 3:
-        raise InvalidInputError(f"need at least 3 observations, got {n}")
-    delta, u = _delta_from(sscm_auto(x))
-    lam = eigenmap.inverse_p2(delta)
-    v = (u * lam) @ u.T
-    if v[0, 0] <= 0.0 or v[1, 1] <= 0.0:
-        raise DegenerateDataError(
-            "sign covariance collapsed onto a coordinate axis; "
-            "correlation is undefined"
-        )
-    rho = v[0, 1] / np.sqrt(v[0, 0] * v[1, 1])
-    return CorrelationEstimate(rho=float(np.clip(rho, -1.0, 1.0)), method=method, n=n)
-
-
-def _column_scales(x: np.ndarray) -> np.ndarray:
-    scales = np.empty(x.shape[1])
-    for j in range(x.shape[1]):
-        try:
-            scales[j] = mad(x[:, j])
-        except DegenerateScaleError as exc:
-            raise DegenerateScaleError(f"column {j}: {exc}") from exc
-    return scales
+    x = _validated(data, bivariate=True)
+    return CorrelationEstimate(rho=_pair_rho(_shape_fit(x)), method="sscor", n=x.shape[0])
 
 
 def sscor_two_stage(data) -> CorrelationEstimate:
     """Spatial sign correlation after MAD-standardizing each column."""
-    x = as_data_matrix(data)
-    if x.shape[1] != 2:
-        raise InvalidInputError(
-            f"bivariate estimator requires p == 2, got p={x.shape[1]}"
-        )
-    z = x / _column_scales(x)
-    est = _sscor_impl(z, "two_stage")
-    return est
+    x = _validated(data, bivariate=True)
+    rho = _pair_rho(_shape_fit(_standardized(x)))
+    return CorrelationEstimate(rho=rho, method="two_stage", n=x.shape[0])
 
 
 def confidence_interval(est: CorrelationEstimate, level: float) -> ConfidenceInterval:
@@ -170,48 +163,40 @@ def confidence_interval(est: CorrelationEstimate, level: float) -> ConfidenceInt
 def pairwise_matrix(data) -> CorrelationMatrixEstimate:
     """Two-stage spatial sign correlations for all variable pairs.
 
-    Each pair is standardized and centered on its own. The assembled matrix
-    has unit diagonal and symmetric entries but is not guaranteed positive
-    semi-definite. A degenerate pair fails the whole estimate.
+    The columns are MAD-standardized once; each pair is then centered and
+    fitted on its own. The assembled matrix has unit diagonal and
+    symmetric entries but is not guaranteed positive semi-definite. A
+    degenerate pair fails the whole estimate.
     """
-    x = as_data_matrix(data)
-    n, p = x.shape
-    if p < 2:
-        raise InvalidInputError(f"need at least 2 variables, got p={p}")
-    if n < 3:
-        raise InvalidInputError(f"need at least 3 observations, got {n}")
+    x = _validated(data)
+    z = _standardized(x)
+    p = x.shape[1]
     r = np.eye(p)
     for i in range(p):
         for j in range(i + 1, p):
             try:
-                r[i, j] = r[j, i] = sscor_two_stage(x[:, [i, j]]).rho
-            except (DegenerateScaleError, DegenerateDataError) as exc:
-                raise type(exc)(f"pair ({i}, {j}): {exc}") from exc
-    return CorrelationMatrixEstimate(matrix=r, method="pairwise", n=n)
+                r[i, j] = r[j, i] = _pair_rho(_shape_fit(z[:, [i, j]]))
+            except DegenerateDataError as exc:
+                raise DegenerateDataError(f"pair ({i}, {j}): {exc}") from exc
+    return CorrelationMatrixEstimate(matrix=r, method="pairwise", n=x.shape[0])
 
 
 def multivariate_matrix(data) -> CorrelationMatrixEstimate:
     """Correlation matrix from one SSCM of MAD-standardized data.
 
-    The SSCM eigenvalues are pulled back to shape eigenvalues with the
-    fixed-point inversion, the shape matrix is rebuilt on the SSCM
-    eigenvectors and rescaled to unit diagonal. The result is positive
-    semi-definite by construction; the rebuilt shape matrix is kept in
-    ``shape_estimate``.
+    The shape matrix is rebuilt as in the two-stage estimator and rescaled
+    to unit diagonal, so at p=2 this is the two-stage estimate up to
+    rounding. The result is positive semi-definite by construction; the
+    rebuilt shape matrix is kept in ``shape_estimate``.
     """
-    x = as_data_matrix(data)
-    n, p = x.shape
-    if p < 2:
-        raise InvalidInputError(f"need at least 2 variables, got p={p}")
-    if n < 3:
-        raise InvalidInputError(f"need at least 3 observations, got {n}")
-    z = x / _column_scales(x)
-    delta, u = _delta_from(sscm_auto(z))
-    lam = eigenmap.inverse(delta)
-    v = (u * lam) @ u.T
-    r = _correlation_from_shape(v)
+    x = _validated(data)
+    v = _shape_fit(_standardized(x))
+    try:
+        r = to_correlation(v)
+    except DegenerateScaleError as exc:
+        raise DegenerateDataError(f"degenerate shape estimate: {exc}") from exc
     return CorrelationMatrixEstimate(
-        matrix=r, method="multivariate", n=n, shape_estimate=v
+        matrix=r, method="multivariate", n=x.shape[0], shape_estimate=v
     )
 
 
@@ -229,3 +214,12 @@ def moment_matrix(data) -> CorrelationMatrixEstimate:
     r = np.clip((r + r.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(r, 1.0)
     return CorrelationMatrixEstimate(matrix=r, method="moment", n=n)
+
+
+# Estimators by the name the CLI and the simulation harness use.
+ESTIMATORS = {
+    "moment": moment_matrix,
+    "pairwise": pairwise_matrix,
+    "multivariate": multivariate_matrix,
+    "two-stage": sscor_two_stage,
+}

@@ -10,8 +10,9 @@ one-dimensional integral over [0, inf),
 which this module evaluates by adaptive Gauss-Kronrod quadrature after the
 substitution x = t / (1 - t). All component integrals share the product
 term, so they are integrated together on shared nodes. The reverse
-direction has no closed form and is solved by a normalized fixed-point
-iteration on the same integrals.
+direction has the closed form lam_i proportional to d_i**2 for dimension
+2, which ``inverse_full`` uses there; for larger dimensions it is solved
+by a normalized fixed-point iteration on the same integrals.
 """
 
 from dataclasses import dataclass
@@ -216,21 +217,25 @@ class FixedPointResult:
 
 
 def inverse_full(delta, *, tol=_FP_TOL, max_iter=_FP_MAX_ITER) -> FixedPointResult:
-    """Invert the eigenvalue map by fixed-point iteration, with diagnostics.
+    """Invert the eigenvalue map, with diagnostics.
 
-    Starting from the sign spectrum itself, each step divides twice the
-    target sign eigenvalue by the current component integral and then
-    renormalizes to sum one. Stops when the sup-norm change drops to
-    ``tol``.
+    Two eigenvalues are inverted in closed form by ``inverse_p2`` (zero
+    iterations, zero residual; a rank-one spectrum maps to itself). Larger
+    spectra are inverted by fixed-point iteration: starting from the sign
+    spectrum itself, each step divides twice the target sign eigenvalue by
+    the current component integral and then renormalizes to sum one. It
+    stops when the sup-norm change drops to ``tol``.
 
     Raises
     ------
     RankDeficiencyError
-        If fewer than two eigenvalues are nonzero.
+        If p > 2 and fewer than two eigenvalues are nonzero.
     ConvergenceError
         After ``max_iter`` steps without convergence (carries the step
         count and final residual).
     """
+    if np.size(delta) == 2:
+        return FixedPointResult(inverse_p2(delta), 0, 0.0)
     delta = as_spectrum(delta, kind="sign")
     if delta.size < 2:
         raise InvalidInputError("inverse requires dimension >= 2")
@@ -263,5 +268,5 @@ def inverse_full(delta, *, tol=_FP_TOL, max_iter=_FP_MAX_ITER) -> FixedPointResu
 
 
 def inverse(delta, *, tol=_FP_TOL, max_iter=_FP_MAX_ITER) -> np.ndarray:
-    """Shape spectrum whose forward image is ``delta`` (fixed-point inversion)."""
+    """Shape spectrum whose forward image is ``delta`` (see ``inverse_full``)."""
     return inverse_full(delta, tol=tol, max_iter=max_iter).spectrum

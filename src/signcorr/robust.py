@@ -1,8 +1,10 @@
 """Robust location and scale: spatial signs, the spatial median, and the MAD.
 
 The spatial median is computed with a Weiszfeld iteration plus the
-Vardi-Zhang correction, which keeps the iteration moving when an iterate
-lands exactly on a data point (plain Weiszfeld stalls there).
+Vardi-Zhang correction (Vardi & Zhang 2000, PNAS 97), which keeps the
+iteration moving when an iterate lands exactly on a data point (plain
+Weiszfeld stalls there), and safeguarded Newton steps when the minimizer
+lies just off a data point (plain Weiszfeld crawls there).
 """
 
 import numpy as np
@@ -12,6 +14,12 @@ from .exceptions import ConvergenceError, DegenerateScaleError, InvalidInputErro
 # Residuals smaller than this times the vector magnitude are treated as zero
 # when forming spatial signs, to avoid amplifying cancellation noise.
 _ZERO_RESIDUAL_RTOL = 1e-12
+
+# Steps that also try a Newton step. Weiszfeld needs a few hundred steps
+# unless the minimizer lies just off a data point, where its rate tends to
+# one (1 in 10^4 bivariate samples of size 100 needs over 3000); Newton then
+# converges in a few steps, and a run it cannot rescue is not slowed further.
+_NEWTON_STEPS = range(3000, 3200)
 
 
 def as_data_matrix(data) -> np.ndarray:
@@ -71,7 +79,9 @@ def spatial_median(data, *, tol=1e-9, max_iter=10_000) -> np.ndarray:
 
     Starts from the coordinatewise median and iterates Weiszfeld steps.
     When an iterate falls onto a data point the Vardi-Zhang rule either
-    certifies the point as optimal or steps off it.
+    certifies the point as optimal or steps off it. Steps 3000 to 3199 off
+    the data points also try a Newton step and keep it when it lowers the
+    objective more than the Weiszfeld step.
 
     The returned point satisfies the first-order condition: either the
     mean spatial sign of the residuals has norm <= ``tol``, or the point
@@ -93,7 +103,7 @@ def spatial_median(data, *, tol=1e-9, max_iter=10_000) -> np.ndarray:
     proximity = 1e-6 * max(1.0, float(np.max(np.linalg.norm(x, axis=1))))
     resid = np.inf
 
-    for _ in range(max_iter):
+    for it in range(max_iter):
         dist = np.linalg.norm(x - mu, axis=1)
         nearest = int(np.argmin(dist))
         if 0.0 < dist[nearest] < proximity:
@@ -120,7 +130,8 @@ def spatial_median(data, *, tol=1e-9, max_iter=10_000) -> np.ndarray:
         else:
             if resid <= tol:
                 return mu
-            mu = (x[off].T @ w) / w.sum()
+            weiszfeld = (x[off].T @ w) / w.sum()
+            mu = _newton_or(x, mu, dist, weiszfeld) if it in _NEWTON_STEPS else weiszfeld
 
     raise ConvergenceError(
         f"spatial median did not converge in {max_iter} iterations "
@@ -129,6 +140,24 @@ def spatial_median(data, *, tol=1e-9, max_iter=10_000) -> np.ndarray:
         residual=resid,
         last_iterate=mu,
     )
+
+
+def _newton_or(x, mu, dist, fallback):
+    """Newton step from ``mu`` if it lowers the objective below ``fallback``.
+
+    ``mu`` lies on no data point. The Hessian sum_i (I - s_i s_i^T) / d_i
+    resolves the stiff direction across a nearby data point that makes
+    Weiszfeld crawl.
+    """
+    signs = (x - mu) / dist[:, None]
+    w = 1.0 / dist
+    hess = w.sum() * np.eye(x.shape[1]) - (signs * w[:, None]).T @ signs
+    try:
+        newton = mu + np.linalg.solve(hess, signs.sum(axis=0))
+    except np.linalg.LinAlgError:
+        return fallback
+    objective = np.linalg.norm(x - np.stack([newton, fallback])[:, None], axis=2).sum(axis=1)
+    return newton if objective[0] < objective[1] else fallback
 
 
 def _certified_data_point(x, y):

@@ -26,12 +26,6 @@ FAMILY_TAGS = {
     "laplace": ("laplace", None),
 }
 
-_ESTIMATOR_FUNCS = {
-    "moment": correlation.moment_matrix,
-    "pairwise": correlation.pairwise_matrix,
-    "multivariate": correlation.multivariate_matrix,
-}
-
 CSV_COLUMNS = (
     "family", "p", "n", "estimator",
     "scaled_variance", "mc_stderr", "reps", "reps_failed",
@@ -88,7 +82,7 @@ def _replicate(cfg: ExperimentConfig, model, index: int) -> dict:
     out = {}
     for name in cfg.estimators:
         try:
-            out[name] = float(_ESTIMATOR_FUNCS[name](x).matrix[0, 1])
+            out[name] = float(correlation.ESTIMATORS[name](x).matrix[0, 1])
         except SignCorrError:
             out[name] = np.nan
     return out

@@ -157,30 +157,6 @@ class TestSimulateCommand:
         ])
         assert code == 2
 
-    def test_env_var_thread_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("SIGNCORR_THREADS", "2")
-        code = main([
-            "simulate", "--dist", "normal", "--p", "2", "--n", "20",
-            "--reps", "10", "--seed", "4",
-        ])
-        assert code == 0
-        first = capsys.readouterr().out
-        monkeypatch.setenv("SIGNCORR_THREADS", "not-a-number")
-        code = main([
-            "simulate", "--dist", "normal", "--p", "2", "--n", "20",
-            "--reps", "10", "--seed", "4", "--threads", "1",
-        ])  # flag overrides the bad env var
-        assert code == 0
-        assert capsys.readouterr().out == first
-
-    def test_bad_env_var_without_flag(self, capsys, monkeypatch):
-        monkeypatch.setenv("SIGNCORR_THREADS", "three")
-        code = main([
-            "simulate", "--dist", "normal", "--p", "2", "--n", "20",
-            "--reps", "10", "--seed", "4",
-        ])
-        assert code == 2
-
 
 class TestFigureCommand:
     def test_equidistant_p3(self, capsys):

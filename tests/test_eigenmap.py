@@ -190,7 +190,7 @@ class TestInverse:
 
     def test_nonconvergence_error_payload(self):
         with pytest.raises(ConvergenceError) as exc_info:
-            em.inverse([0.9, 0.1], max_iter=1)
+            em.inverse([0.7, 0.2, 0.1], max_iter=1)
         err = exc_info.value
         assert err.iterations == 1
         assert err.residual > 0

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import signcorr as sc
+from signcorr import elliptical as el
+
 from signcorr.exceptions import (
     ConvergenceError,
     DegenerateScaleError,
@@ -114,6 +117,20 @@ class TestSpatialMedian:
     def test_duplicate_points(self):
         x = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [5.0, -2.0]])
         assert np.array_equal(spatial_median(x), [1.0, 1.0])
+
+    @pytest.mark.parametrize("family, df, seed, rep", [
+        ("laplace", None, 14323281278118823144, 27),
+        ("t", 5.0, 1776680473139111193, 12),
+    ])
+    def test_minimizer_next_to_a_data_point(self, family, df, seed, rep):
+        # After MAD standardization the minimizer lies a few 1e-6 from a data
+        # point whose sign sum just exceeds its multiplicity; plain Weiszfeld
+        # needs more than 10000 steps there.
+        x = el.sample(el.spherical_model(family, 2, df), 100, el.replication_rng(seed, rep))
+        z = x / np.array([mad(x[:, 0]), mad(x[:, 1])])
+        assert _first_order_ok(z, spatial_median(z, max_iter=3100))
+        rho = sc.sscor_two_stage(x).rho
+        assert abs(sc.multivariate_matrix(x).matrix[0, 1] - rho) <= 1e-15
 
     def test_nonconvergence_raises_with_payload(self):
         rng = np.random.default_rng(6)

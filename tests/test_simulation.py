@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from signcorr import correlation
 from signcorr import simulation as sim
 from signcorr.exceptions import DegenerateDataError, InvalidInputError, SignCorrError
 
@@ -42,7 +43,7 @@ class TestRunExperiment:
 
     def test_failures_counted(self, monkeypatch):
         calls = {"i": 0}
-        real = sim._ESTIMATOR_FUNCS["moment"]
+        real = correlation.ESTIMATORS["moment"]
 
         def flaky(x):
             calls["i"] += 1
@@ -50,7 +51,7 @@ class TestRunExperiment:
                 raise DegenerateDataError("synthetic failure")
             return real(x)
 
-        monkeypatch.setitem(sim._ESTIMATOR_FUNCS, "moment", flaky)
+        monkeypatch.setitem(correlation.ESTIMATORS, "moment", flaky)
         cfg = sim.ExperimentConfig(
             family="normal", p=2, n=20, reps=10, seed=9, estimators=("moment",)
         )
@@ -61,7 +62,7 @@ class TestRunExperiment:
         def broken(x):
             raise DegenerateDataError("synthetic failure")
 
-        monkeypatch.setitem(sim._ESTIMATOR_FUNCS, "moment", broken)
+        monkeypatch.setitem(correlation.ESTIMATORS, "moment", broken)
         cfg = sim.ExperimentConfig(
             family="normal", p=2, n=20, reps=5, seed=10, estimators=("moment",)
         )
