@@ -206,6 +206,9 @@ def moment_matrix(data) -> CorrelationMatrixEstimate:
     n, p = x.shape
     if n < 2:
         raise InvalidInputError(f"need at least 2 observations, got {n}")
+    # An exact power-of-two scale per column leaves the correlation bitwise
+    # unchanged and keeps ``var`` and ``corrcoef`` from over- or underflowing.
+    x = np.ldexp(x, -np.frexp(np.max(np.abs(x), axis=0))[1])
     var = np.var(x, axis=0)
     bad = np.flatnonzero(var == 0.0)
     if bad.size:

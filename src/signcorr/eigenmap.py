@@ -7,9 +7,9 @@ one-dimensional integral over [0, inf),
 
     d_i = (l_i / 2) * Int 1 / ((1 + l_i x) * prod_j (1 + l_j x)^(1/2)) dx,
 
-which this module evaluates by adaptive Gauss-Kronrod quadrature after the
-substitution x = t / (1 - t). All component integrals share the product
-term, so they are integrated together on shared nodes. The reverse
+(Duerre, Tyler & Vogel 2016), which this module evaluates by one fixed
+Gauss-Legendre rule after the substitution x = 1/u**2 - 1 (as Carlson 1995
+does for R_D), on shared nodes for all components. The reverse
 direction has the closed form lam_i proportional to d_i**2 for dimension
 2, which ``inverse_full`` uses there; for larger dimensions it is solved
 by a normalized fixed-point iteration on the same integrals.
@@ -27,53 +27,18 @@ from .exceptions import (
 )
 
 # Tolerances fixed for the whole artifact: spectra are renormalized on
-# construction when their sum is within _SUM_TOL of one, each integral is
-# resolved to _QUAD_TOL, and the fixed-point inversion stops at _FP_TOL.
-# The stopping tolerance is one order below the guaranteed accuracy: the
-# iteration converges linearly, so the distance of the accepted iterate to
-# the fixed point is a small multiple of the last step size.
+# construction when their sum is within _SUM_TOL of one, and the
+# fixed-point inversion stops at _FP_TOL. The stopping tolerance is one
+# order below the guaranteed accuracy: the iteration converges linearly, so
+# the distance of the accepted iterate to the fixed point is a small
+# multiple of the last step size.
 _SUM_TOL = 1e-9
 _NEG_TOL = 1e-12
-_QUAD_TOL = 1e-12
 _FP_TOL = 1e-11
 _FP_MAX_ITER = 500
 
-# Gauss-7 / Kronrod-15 nodes and weights on [-1, 1] (QUADPACK dqk15).
-_XGK = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.0,
-])
-_WGK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-])
-_WG7 = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-])
-
-_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
-_W_KRONROD = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_w7 = np.zeros(8)
-_w7[[1, 3, 5, 7]] = _WG7
-_W_GAUSS = np.concatenate([_w7[:-1], _w7[::-1]])
-del _w7
-
-_MAX_PANELS = 4096
+# 32-point Gauss-Legendre rule on [-1, 1], applied on every panel.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 def as_spectrum(values, *, kind="shape") -> np.ndarray:
@@ -83,8 +48,9 @@ def as_spectrum(values, *, kind="shape") -> np.ndarray:
     (downstream estimates carry rounding noise); larger deviations are
     rejected. Entries whose magnitude is at most 1e-12 are flushed to exact
     zero: on a trace-one spectrum they are indistinguishable from
-    eigensolver roundoff on a rank-deficient matrix, and treating them as
-    rank keeps the quadrature away from integrals it cannot resolve.
+    eigensolver roundoff on a rank-deficient matrix, so they count as rank
+    loss and the map treats them exactly (zero in, zero out) instead of
+    integrating an eigenvalue that is only noise.
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size < 1:
@@ -100,65 +66,27 @@ def as_spectrum(values, *, kind="shape") -> np.ndarray:
     return np.sort(v)[::-1] / s
 
 
-def _integrand(lam, t):
-    """All component integrands at once, transformed to t in [0, 1).
+def _integrate_all(lam):
+    """Every component integral at once, by one fixed Gauss-Legendre rule.
 
-    Returns an array of shape (len(lam), len(t)). The shared factor
-    prod_j (1 + lam_j x)^(-1/2) is computed once via logs; the Jacobian of
-    x = t / (1 - t) is folded in.
-    """
-    one_minus = 1.0 - t
-    x = t / one_minus
-    lx = lam[:, None] * x[None, :]
-    common = np.exp(-0.5 * np.sum(np.log1p(lx), axis=0)) / (one_minus * one_minus)
-    return common[None, :] / (1.0 + lx)
-
-
-def _panel_sums(lam, a, b):
-    """Kronrod estimates and Gauss-Kronrod error gaps for a batch of panels.
-
-    ``a`` and ``b`` are arrays of panel endpoints. Returns (K, err), each of
-    shape (len(lam), len(a)).
-    """
-    half = (b - a) / 2.0
-    mid = (a + b) / 2.0
-    pts = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    f = _integrand(lam, pts).reshape(lam.size, a.size, _NODES.size)
-    k = (f @ _W_KRONROD) * half
-    g = (f @ _W_GAUSS) * half
-    return k, np.abs(k - g)
-
-
-def _integrate_all(lam, *, atol=_QUAD_TOL, rtol=_QUAD_TOL):
-    """Evaluate every component integral to tolerance on shared panels.
-
-    Seeds the adaptive subdivision with dyadic panels clustered toward
-    t = 1 (where the substituted integrand concentrates for small
-    eigenvalues) and repeatedly splits the panel with the worst error gap.
+    x = 1/u**2 - 1 turns component i into Int_0^1 2 u^(p-1) / (q_i *
+    prod_j sqrt(q_j)) du with q_j = u**2 + lam_j (1 - u**2), smooth on
+    [0, 1] for every p with features at the scale u ~ sqrt(lam_min). The
+    geometric panels [0, 2^-k], ..., [1/4, 1/2], [1/2, 1], with
+    k = ceil(-log2(lam_min) / 2) + 1, resolve it to roundoff. The shared
+    product is formed through logs so that large p does not underflow.
     """
     if np.any(lam <= 0.0):
         raise RankDeficiencyError("integrals require strictly positive eigenvalues")
-    breaks = np.concatenate(([0.0], 1.0 - 0.5 ** np.arange(1, 13), [1.0]))
-    k, err = _panel_sums(lam, breaks[:-1], breaks[1:])
-    panels = list(zip(breaks[:-1], breaks[1:], k.T, err.T))
-
-    while len(panels) < _MAX_PANELS:
-        total = np.sum([e for (_, _, _, e) in panels], axis=0)
-        value = np.sum([v for (_, _, v, _) in panels], axis=0)
-        if np.all(total <= atol + rtol * np.abs(value)):
-            return value
-        worst = max(range(len(panels)), key=lambda i: panels[i][3].max())
-        a, b, _, _ = panels.pop(worst)
-        m = (a + b) / 2.0
-        if not (a < m < b):
-            raise QuadratureError(
-                "panel width underflow before reaching tolerance"
-            )
-        ks, errs = _panel_sums(lam, np.array([a, m]), np.array([m, b]))
-        panels.append((a, m, ks[:, 0], errs[:, 0]))
-        panels.append((m, b, ks[:, 1], errs[:, 1]))
-
-    raise QuadratureError(f"no convergence within {_MAX_PANELS} panels")
+    k = int(np.ceil(-np.log2(lam.min()) / 2.0)) + 1
+    breaks = np.concatenate(([0.0], 0.5 ** np.arange(k, -1, -1)))
+    half = np.diff(breaks)[:, None] / 2.0
+    u = ((breaks[:-1, None] + half) + half * _GL_NODES).ravel()
+    w = (half * _GL_WEIGHTS).ravel()
+    u2 = u * u
+    q = u2 + lam[:, None] * (1.0 - u2)
+    common = 2.0 * np.exp((lam.size - 1) * np.log(u) - 0.5 * np.sum(np.log(q), axis=0))
+    return (common / q) @ w
 
 
 def forward_p2(lam) -> np.ndarray:

@@ -42,4 +42,4 @@ class ConvergenceError(SignCorrError, RuntimeError):
 
 
 class QuadratureError(SignCorrError, RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """``eigenmap.forward``'s sign spectrum drifted from sum one by over 1e-9."""

@@ -262,6 +262,19 @@ class TestMomentMatrix:
         x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 1.0], [3.0, 0.0]])
         assert sc.moment_matrix(x).matrix[0, 1] == pytest.approx(0.0, abs=1e-15)
 
+    def test_extreme_column_scale(self):
+        # corrcoef on columns near 1e200 or 1e-200 overflows or underflows;
+        # the estimate must still match the unscaled data, and a power-of-two
+        # scale must leave it bitwise unchanged
+        x = np.random.default_rng(8).normal(size=(50, 3))
+        expected = sc.moment_matrix(x).matrix
+        for scale in (1e200, 1e-200):
+            r = sc.moment_matrix(x * [1.0, scale, 1.0]).matrix
+            assert np.max(np.abs(r - expected)) <= 1e-14
+        for e in (664, -664):
+            r = sc.moment_matrix(np.ldexp(x, [0, e, 0])).matrix
+            assert np.array_equal(r, expected)
+
     def test_constant_column_rejected(self):
         with pytest.raises(DegenerateScaleError, match="column 1"):
             sc.moment_matrix(np.column_stack([np.arange(4.0), np.full(4, 2.0)]))

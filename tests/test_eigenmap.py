@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import elliprd
 
 from signcorr import eigenmap as em
 from signcorr.exceptions import (
@@ -99,6 +102,23 @@ class TestForward:
             expected = np.array([raw(i) for i in range(p)])
             expected /= expected.sum()
             assert np.max(np.abs(em.forward(lam) - expected)) <= 1e-9
+
+    def test_matches_carlson_rd_p3(self):
+        # for p = 3, d_i = (1/3) (prod lam)^(-1/2) R_D(1/lam_j, 1/lam_k, 1/lam_i)
+        # (Carlson 1995); the eps spectra put one eigenvalue far below the rest
+        rng = np.random.default_rng(9)
+        batch = [v for v in rng.dirichlet(np.full(3, 0.3), 300) if v.min() > 1e-12]
+        eps = [[0.6, 0.4 - e, e] for e in (1e-9, 1e-10, 1e-11)]
+        for lam in batch + eps:
+            lam = em.as_spectrum(lam)
+            inv = 1.0 / lam
+            rd = np.array([elliprd(*np.roll(inv, 2 - i)) for i in range(3)])
+            expected = rd / (3.0 * np.sqrt(np.prod(lam)))
+            expected /= expected.sum()
+            t0 = time.perf_counter()
+            delta = em.forward(lam)
+            assert time.perf_counter() - t0 <= 1.0
+            assert np.max(np.abs(delta - expected) / expected) <= 1e-13
 
     def test_matches_monte_carlo_oracle(self):
         # eigenvalues of E[s s^T] under N(0, diag(lam)) estimated directly;
