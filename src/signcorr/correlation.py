@@ -8,10 +8,18 @@
 * ``multivariate_matrix`` -- one SSCM of MAD-standardized data, rescaled
   to a correlation matrix (positive semi-definite by construction).
 
-All four run one shape fit: the SSCM eigenvalues are mapped back to shape
-eigenvalues by ``eigenmap.inverse`` (closed form at p=2, fixed point
-above) and set on the SSCM eigenvectors. At p=2 the multivariate estimate
-is therefore the two-stage estimate, up to rounding in the rescaling.
+All four run one shape fit, the batched kernel ``_shape_fits``: for a
+stack of samples it finds every spatial median in one vectorized
+Weiszfeld pass (``robust``; rows that come near a data point or do not
+converge fall back to the scalar iteration), forms the SSCMs in one
+``einsum``, eigendecomposes them in one stacked ``eigh``, maps the SSCM
+eigenvalues back to shape eigenvalues (``eigenmap.inverse``: closed form
+at p=2, for all rows at once; fixed point above, row by row) and sets
+them on the SSCM eigenvectors. ``pairwise_matrix`` stacks all column
+pairs; the other estimators stack one sample. Each row is computed on
+its own, so a pairwise entry is bitwise the two-stage estimate on its
+pair, and at p=2 the multivariate estimate is the two-stage estimate up
+to rounding in the rescaling.
 
 ``moment_matrix`` (plain Pearson) is the comparison baseline, and the
 asymptotic variance formulas give Wald confidence intervals for the
@@ -23,15 +31,16 @@ from statistics import NormalDist
 
 import numpy as np
 
-from . import eigenmap
+from . import eigenmap, robust
 from .exceptions import (
     DegenerateDataError,
     DegenerateScaleError,
     InvalidInputError,
+    SignCorrError,
 )
-from .linalg import sym_eigen, to_correlation
-from .robust import as_data_matrix, mad
-from .sscm import sscm_auto
+from .linalg import _sym_eigens, to_correlation
+from .robust import as_data_matrix
+from .sscm import _sign_covariances
 
 
 @dataclass(frozen=True)
@@ -88,39 +97,96 @@ def _validated(data, *, bivariate=False) -> np.ndarray:
 
 
 def _standardized(x: np.ndarray) -> np.ndarray:
-    """Each column divided by its MAD; a zero MAD names its column."""
-    scales = np.empty(x.shape[1])
-    for j in range(x.shape[1]):
-        try:
-            scales[j] = mad(x[:, j])
-        except DegenerateScaleError as exc:
-            raise DegenerateScaleError(f"column {j}: {exc}") from exc
-    return x / scales
+    """Each column divided by its MAD; a zero MAD names its column.
 
-
-def _shape_fit(z: np.ndarray) -> np.ndarray:
-    """Shape matrix of ``z`` rebuilt from its SSCM at the spatial median.
-
-    The SSCM eigenvalues are renormalized to sum one: when observations
-    coincide with the center the trace is n_effective / n.
+    Where a MAD is so small next to its column that a quotient would
+    overflow, every column is divided by its MAD and by one common power
+    of two 2**k: the shape fit scales each sample by a power of two anyway.
     """
-    w, u = sym_eigen(sscm_auto(z).matrix)
+    scales = robust._mads(x)
+    bad = np.flatnonzero(scales == 0.0)
+    if bad.size:
+        raise DegenerateScaleError(f"column {bad[0]}: {robust._ZERO_MAD}")
+    # scales = frac * 2**e with frac in [0.5, 1), and max |x| < 2**e_x per
+    # column, so |x / scales| < 2**(e_x - e + 1), which must stay below 2**1023.
+    frac, e = np.frexp(scales)
+    k = int(np.max(np.frexp(np.max(np.abs(x), axis=0))[1] - e)) + 2 - 1024
+    if k <= 0:
+        return x / scales
+    # 2 * frac lies in [1, 2), so x / (2 * frac) cannot overflow.
+    return np.ldexp(x / (2.0 * frac), 1 - e - k)
+
+
+# Entries (pairs times 2n) of one stack of column pairs in ``pairwise_matrix``:
+# this bounds its working memory to a few such arrays, 2 MiB each, and keeps
+# them in cache. No result depends on it: every row is computed on its own.
+_STACK_ENTRIES = 2**18
+
+
+def _shape_fits(z):
+    """Shape matrices (B, p, p) of the samples stacked in ``z`` (B, p, n).
+
+    The batched shape kernel: each row is centered at its spatial median,
+    its SSCM eigenvalues are renormalized to sum one (when observations
+    coincide with the center the trace is n_effective / n), mapped back to
+    shape eigenvalues and set on the SSCM eigenvectors. Every stage runs
+    once for the whole stack. Returns the matrices and {row: error} for
+    the rows that failed; their matrices are meaningless.
+    """
+    zs, k = robust._pow2_scaled(z)
+    centers, errors = robust._spatial_medians(zs, k)
+    w, u = _sym_eigens(_sign_covariances(robust._signs(zs, centers)))
     w = np.maximum(w, 0.0)
-    total = w.sum()
-    if total <= 0.0:
-        raise DegenerateDataError("all observations coincide with the center")
-    lam = eigenmap.inverse(eigenmap.as_spectrum(w / total, kind="sign"))
-    return (u * lam) @ u.T
+    total = w.sum(axis=1, keepdims=True)
+    empty = total[:, 0] <= 0.0
+    for b in np.flatnonzero(empty):
+        errors.setdefault(int(b), DegenerateDataError("all observations coincide with the center"))
+    delta = w / np.where(empty[:, None], 1.0, total)
+    delta[empty] = 1.0 / w.shape[1]  # a valid spectrum in place of the failed rows
+    if z.shape[1] == 2:
+        # eigenmap.inverse(as_spectrum(delta)) in closed form for all rows.
+        lam = eigenmap._squared_share(eigenmap._canonical(eigenmap._canonical(delta)))
+    else:
+        lam = np.zeros_like(delta)
+        for b in range(len(delta)):
+            if b not in errors:
+                try:
+                    lam[b] = eigenmap.inverse(eigenmap.as_spectrum(delta[b], kind="sign"))
+                except SignCorrError as exc:
+                    errors[b] = exc
+    return (u * lam[:, None, :]) @ u.swapaxes(1, 2), errors
 
 
-def _pair_rho(v: np.ndarray) -> float:
-    if v[0, 0] <= 0.0 or v[1, 1] <= 0.0:
-        raise DegenerateDataError(
-            "sign covariance collapsed onto a coordinate axis; "
-            "correlation is undefined"
-        )
-    rho = v[0, 1] / np.sqrt(v[0, 0] * v[1, 1])
-    return float(np.clip(rho, -1.0, 1.0))
+def _shape_fit(x: np.ndarray) -> np.ndarray:
+    """Shape matrix of the sample ``x`` (n, p): the kernel on a stack of one."""
+    v, errors = _shape_fits(robust._stack_of_one(x))
+    if errors:
+        raise errors[0]
+    return v[0]
+
+
+def _pair_rhos(v: np.ndarray, errors: dict) -> np.ndarray:
+    """Correlations read off the 2x2 shape matrices ``v`` (B, 2, 2).
+
+    Rows whose shape matrix collapsed onto a coordinate axis join
+    ``errors``, unless they already failed.
+    """
+    collapsed = (v[:, 0, 0] <= 0.0) | (v[:, 1, 1] <= 0.0)
+    for b in np.flatnonzero(collapsed):
+        errors.setdefault(int(b), DegenerateDataError(
+            "sign covariance collapsed onto a coordinate axis; correlation is undefined"
+        ))
+    rho = v[:, 0, 1] / np.sqrt(np.where(collapsed, 1.0, v[:, 0, 0] * v[:, 1, 1]))
+    return np.clip(rho, -1.0, 1.0)
+
+
+def _pair_rho(x: np.ndarray) -> float:
+    """Correlation of the bivariate sample ``x`` (n, 2) from its shape fit."""
+    errors = {}
+    rho = _pair_rhos(_shape_fit(x)[None], errors)
+    if errors:
+        raise errors[0]
+    return float(rho[0])
 
 
 def sscor(data) -> CorrelationEstimate:
@@ -131,13 +197,13 @@ def sscor(data) -> CorrelationEstimate:
     and reads the correlation off the rebuilt shape matrix.
     """
     x = _validated(data, bivariate=True)
-    return CorrelationEstimate(rho=_pair_rho(_shape_fit(x)), method="sscor", n=x.shape[0])
+    return CorrelationEstimate(rho=_pair_rho(x), method="sscor", n=x.shape[0])
 
 
 def sscor_two_stage(data) -> CorrelationEstimate:
     """Spatial sign correlation after MAD-standardizing each column."""
     x = _validated(data, bivariate=True)
-    rho = _pair_rho(_shape_fit(_standardized(x)))
+    rho = _pair_rho(_standardized(x))
     return CorrelationEstimate(rho=rho, method="two_stage", n=x.shape[0])
 
 
@@ -163,21 +229,32 @@ def confidence_interval(est: CorrelationEstimate, level: float) -> ConfidenceInt
 def pairwise_matrix(data) -> CorrelationMatrixEstimate:
     """Two-stage spatial sign correlations for all variable pairs.
 
-    The columns are MAD-standardized once; each pair is then centered and
-    fitted on its own. The assembled matrix has unit diagonal and
+    The columns are MAD-standardized once; then all pairs, in row-major
+    order, go through the shape kernel in stacks of at most
+    ``_STACK_ENTRIES`` entries. The assembled matrix has unit diagonal and
     symmetric entries but is not guaranteed positive semi-definite. A
-    degenerate pair fails the whole estimate.
+    failing pair fails the whole estimate: the first one in row-major
+    order raises its error, with the pair named when it is a
+    DegenerateDataError.
     """
     x = _validated(data)
-    z = _standardized(x)
+    z = np.ascontiguousarray(_standardized(x).T)
     p = x.shape[1]
+    first, second = np.triu_indices(p, k=1)
+    rho = np.empty(first.size)
+    block = max(1, _STACK_ENTRIES // (2 * x.shape[0]))
+    for lo in range(0, first.size, block):
+        i, j = first[lo:lo + block], second[lo:lo + block]
+        v, errors = _shape_fits(np.stack((z[i], z[j]), axis=1))
+        rho[lo:lo + block] = _pair_rhos(v, errors)
+        if errors:
+            b = min(errors)
+            exc = errors[b]
+            if isinstance(exc, DegenerateDataError):
+                raise DegenerateDataError(f"pair ({i[b]}, {j[b]}): {exc}") from exc
+            raise exc
     r = np.eye(p)
-    for i in range(p):
-        for j in range(i + 1, p):
-            try:
-                r[i, j] = r[j, i] = _pair_rho(_shape_fit(z[:, [i, j]]))
-            except DegenerateDataError as exc:
-                raise DegenerateDataError(f"pair ({i}, {j}): {exc}") from exc
+    r[first, second] = r[second, first] = rho
     return CorrelationMatrixEstimate(matrix=r, method="pairwise", n=x.shape[0])
 
 

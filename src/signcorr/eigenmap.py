@@ -59,11 +59,16 @@ def as_spectrum(values, *, kind="shape") -> np.ndarray:
         raise InvalidInputError("spectrum entries must be finite")
     if np.any(v < -_NEG_TOL):
         raise InvalidInputError(f"{kind} spectrum entries must be nonnegative")
-    v = np.where(v <= _NEG_TOL, 0.0, v)
-    s = v.sum()
+    s = np.where(v <= _NEG_TOL, 0.0, v).sum()
     if abs(s - 1.0) > _SUM_TOL:
         raise InvalidInputError(f"{kind} spectrum must sum to 1, got {s!r}")
-    return np.sort(v)[::-1] / s
+    return _canonical(v)
+
+
+def _canonical(v):
+    """The rows of ``v`` as ``as_spectrum`` returns them, without the checks."""
+    v = np.where(v <= _NEG_TOL, 0.0, v)
+    return np.sort(v, axis=-1)[..., ::-1] / v.sum(axis=-1, keepdims=True)
 
 
 def _integrate_all(lam):
@@ -103,8 +108,13 @@ def inverse_p2(delta) -> np.ndarray:
     delta = as_spectrum(delta, kind="sign")
     if delta.size != 2:
         raise InvalidInputError("inverse_p2 requires exactly 2 eigenvalues")
+    return _squared_share(delta)
+
+
+def _squared_share(delta):
+    """lam_i = delta_i**2 / sum_j delta_j**2 along the last axis."""
     sq = delta * delta
-    return sq / sq.sum()
+    return sq / sq.sum(axis=-1, keepdims=True)
 
 
 def forward(lam) -> np.ndarray:

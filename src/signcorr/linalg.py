@@ -40,14 +40,18 @@ def sym_eigen(a) -> EigenDecomposition:
     any orthonormal basis may be returned; only basis-invariant quantities
     (spectrum, reconstructions, projectors) are stable under ties.
     """
-    a = symmetrize(a)
+    w, u = _sym_eigens(symmetrize(a)[None])
+    return EigenDecomposition(w[0], u[0])
+
+
+def _sym_eigens(a):
+    """``sym_eigen`` of each matrix of the symmetric stack ``a`` (B, p, p)."""
     w, u = np.linalg.eigh(a)
-    w = w[::-1].copy()
-    u = u[:, ::-1].copy()
-    lead = np.argmax(np.abs(u), axis=0)
-    flip = u[lead, np.arange(u.shape[1])] < 0
-    u[:, flip] *= -1.0
-    return EigenDecomposition(w, u)
+    w = w[:, ::-1].copy()
+    u = u[:, :, ::-1]
+    lead = np.argmax(np.abs(u), axis=1)
+    flip = np.take_along_axis(u, lead[:, None, :], axis=1) < 0
+    return w, np.where(flip, -u, u)
 
 
 def to_correlation(v) -> np.ndarray:

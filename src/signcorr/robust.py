@@ -1,6 +1,22 @@
 """Robust location and scale: spatial signs, the spatial median, and the MAD.
 
-The spatial median is computed with a Weiszfeld iteration plus the
+Spatial signs and spatial medians are computed for a stack of samples at
+once, shape (B, p, n) with the observations along the last axis, so that
+the correlation estimators can fit every column pair in one pass. Each
+row's arithmetic, reductions included, runs along its own contiguous
+axis, so a row's result does not depend on the rows stacked with it; the
+public functions are the stack of one.
+
+Before the location step each row is divided by one exact power of two
+that brings its largest entry below one. This changes no bit of the
+median, the signs or the SSCM wherever nothing over- or underflowed, and
+keeps squared distances finite for data of any finite range.
+
+The spatial medians are found by vectorized Weiszfeld steps on all rows,
+dropping the converged rows from the active set. A row falls back to the
+scalar iteration, restarted from scratch, when an iterate comes within
+``proximity`` of a data point (or lands on one) or when it has not
+converged in ``_BATCH_ROUNDS`` steps. The scalar iteration adds the
 Vardi-Zhang correction (Vardi & Zhang 2000, PNAS 97), which keeps the
 iteration moving when an iterate lands exactly on a data point (plain
 Weiszfeld stalls there), and safeguarded Newton steps when the minimizer
@@ -20,6 +36,11 @@ _ZERO_RESIDUAL_RTOL = 1e-12
 # one (1 in 10^4 bivariate samples of size 100 needs over 3000); Newton then
 # converges in a few steps, and a run it cannot rescue is not slowed further.
 _NEWTON_STEPS = range(3000, 3200)
+
+# Vectorized Weiszfeld steps before a row that has not converged falls back
+# to the scalar iteration. Rows need a few dozen steps unless their
+# minimizer lies near a data point, which the scalar iteration handles.
+_BATCH_ROUNDS = 200
 
 
 def as_data_matrix(data) -> np.ndarray:
@@ -47,6 +68,33 @@ def as_location(center, p: int) -> np.ndarray:
     return c
 
 
+def _stack_of_one(x):
+    """Observations-by-variables ``x`` as a contiguous (1, p, n) stack."""
+    return np.ascontiguousarray(x.T)[None]
+
+
+def _norms(d):
+    """Euclidean norms over axis 1 (the coordinates) of a stack.
+
+    The squares are summed in coordinate order, so a norm does not depend
+    on the shape of the stack it is part of.
+    """
+    sq = d[:, 0] * d[:, 0]
+    for j in range(1, d.shape[1]):
+        sq += d[:, j] * d[:, j]
+    return np.sqrt(sq)
+
+
+def _pow2_scaled(z):
+    """Each row of ``z`` (B, p, n) divided by a power of two, and the exponents.
+
+    The exponent k of a row is that of its largest magnitude, so the scaled
+    row lies in (-1, 1) and ``np.ldexp(scaled, k)`` is the row again.
+    """
+    k = np.frexp(np.max(np.abs(z), axis=(1, 2)))[1]
+    return np.ldexp(z, -k[:, None, None]), k
+
+
 def spatial_sign(x, center=None) -> np.ndarray:
     """Unit direction of ``x - center``; the zero vector when they coincide.
 
@@ -64,24 +112,37 @@ def spatial_signs(data, center) -> np.ndarray:
     """Row-wise spatial signs of ``data - center`` (vectorized)."""
     x = as_data_matrix(data)
     c = as_location(center, x.shape[1])
-    d = x - c
-    nd = np.linalg.norm(d, axis=1)
-    scale = np.maximum(np.linalg.norm(x, axis=1), np.linalg.norm(c))
-    zero = (nd == 0.0) | (nd < _ZERO_RESIDUAL_RTOL * scale)
-    nd = np.where(zero, 1.0, nd)
-    s = d / nd[:, None]
-    s[zero] = 0.0
-    return s
+    return _signs_of_one(x, c)[0].T
+
+
+def _signs_of_one(x, c):
+    """``_signs`` of the sample ``x`` (n, p) around ``c`` (p,), as a stack of one.
+
+    ``x`` and ``c`` are first divided by one power of two, which keeps the
+    squared residuals finite and changes no bit where nothing overflowed.
+    """
+    k = np.frexp(max(np.max(np.abs(x)), np.max(np.abs(c))))[1]
+    return _signs(_stack_of_one(np.ldexp(x, -k)), np.ldexp(c, -k)[None])
+
+
+def _signs(z, c):
+    """Spatial signs of the stack ``z`` (B, p, n) around the centers ``c`` (B, p)."""
+    d = z - c[:, :, None]
+    nd = _norms(d)
+    scale = np.maximum(_norms(z), _norms(c)[:, None])
+    zero = ((nd == 0.0) | (nd < _ZERO_RESIDUAL_RTOL * scale))[:, None, :]
+    return np.where(zero, 0.0, d / np.where(zero, 1.0, nd[:, None, :]))
 
 
 def spatial_median(data, *, tol=1e-9, max_iter=10_000) -> np.ndarray:
     """Minimizer of the sum of Euclidean distances to the observations.
 
     Starts from the coordinatewise median and iterates Weiszfeld steps.
-    When an iterate falls onto a data point the Vardi-Zhang rule either
-    certifies the point as optimal or steps off it. Steps 3000 to 3199 off
-    the data points also try a Newton step and keep it when it lowers the
-    objective more than the Weiszfeld step.
+    When an iterate comes near a data point the scalar iteration takes
+    over from the start: it tests the Vardi-Zhang rule, which either
+    certifies the data point as optimal or steps off it, and on steps
+    3000 to 3199 off the data points also tries a Newton step and keeps
+    it when it lowers the objective more than the Weiszfeld step.
 
     The returned point satisfies the first-order condition: either the
     mean spatial sign of the residuals has norm <= ``tol``, or the point
@@ -95,12 +156,71 @@ def spatial_median(data, *, tol=1e-9, max_iter=10_000) -> np.ndarray:
         error carries the last iterate and residual.
     """
     x = as_data_matrix(data)
-    n, p = x.shape
-    if n == 1:
+    if x.shape[0] == 1:
         return x[0].copy()
+    z, k = _pow2_scaled(_stack_of_one(x))
+    mu, errors = _spatial_medians(z, k, tol=tol, max_iter=max_iter)
+    if errors:
+        raise errors[0]
+    return np.ldexp(mu[0], k[0])
 
+
+def _spatial_medians(z, k, *, tol=1e-9, max_iter=10_000):
+    """Spatial medians (B, p) of the rows of the scaled stack ``z`` (B, p, n).
+
+    ``k`` holds the exponents returned by ``_pow2_scaled``; the medians are
+    returned in the scaled units, with {row: ConvergenceError} for the rows
+    whose scalar iteration did not converge.
+    """
+    n = z.shape[2]
+    mu = np.median(z, axis=2)
+    # 1e-6 * max(1, largest observation norm) in the units of the data.
+    proximity = 1e-6 * np.maximum(np.ldexp(1.0, -k), np.max(_norms(z), axis=1))
+    rows = np.arange(z.shape[0])
+    x, m, prox = z, mu, proximity
+    fallback = []
+    for _ in range(min(_BATCH_ROUNDS, max_iter)):
+        d = x - m[:, :, None]
+        # One pass, unlike _norms; with n >= 2 observations along the inner
+        # axis every row still sums in the same order, whatever the stack.
+        dist = np.sqrt(np.einsum("bpn,bpn->bn", d, d))
+        near = dist.min(axis=1) < prox
+        if near.any():
+            fallback.extend(rows[near])
+            keep = ~near
+            x, m, d, dist, rows, prox = x[keep], m[keep], d[keep], dist[keep], rows[keep], prox[keep]
+            if not rows.size:
+                break
+        w = 1.0 / dist
+        r = np.einsum("bpn,bn->bp", d, w)  # the sign sum
+        step = r / w.sum(axis=1)[:, None]  # to the Weiszfeld point
+        done = np.sqrt(np.einsum("bp,bp->b", r, r)) / n <= tol
+        if done.any():
+            mu[rows[done]] = m[done]
+            keep = ~done
+            x, m, step, rows, prox = x[keep], m[keep], step[keep], rows[keep], prox[keep]
+            if not rows.size:
+                break
+        m = m + step
+    fallback.extend(rows)  # rows still active after the batched rounds
+    errors = {}
+    for b in sorted(fallback):
+        try:
+            mu[b] = _weiszfeld(np.ascontiguousarray(z[b].T), proximity[b], k[b],
+                               tol=tol, max_iter=max_iter)
+        except ConvergenceError as exc:
+            errors[int(b)] = exc
+    return mu, errors
+
+
+def _weiszfeld(x, proximity, k, *, tol, max_iter):
+    """The scalar Vardi-Zhang and Newton safeguarded iteration on ``x`` (n, p).
+
+    ``x`` is in the scaled units of ``_pow2_scaled`` with exponent ``k``; a
+    ConvergenceError carries its last iterate in the units of the data.
+    """
+    n = x.shape[0]
     mu = np.median(x, axis=0)
-    proximity = 1e-6 * max(1.0, float(np.max(np.linalg.norm(x, axis=1))))
     resid = np.inf
 
     for it in range(max_iter):
@@ -138,7 +258,7 @@ def spatial_median(data, *, tol=1e-9, max_iter=10_000) -> np.ndarray:
         f"(mean sign residual {resid:.3e})",
         iterations=max_iter,
         residual=resid,
-        last_iterate=mu,
+        last_iterate=np.ldexp(mu, k),
     )
 
 
@@ -178,6 +298,14 @@ def _certified_data_point(x, y):
     return None
 
 
+_ZERO_MAD = "zero mad: more than half of the values tie"
+
+
+def _mads(x) -> np.ndarray:
+    """Median absolute deviation of each column of ``x`` (n, p); may be zero."""
+    return np.median(np.abs(x - np.median(x, axis=0)), axis=0)
+
+
 def mad(x) -> float:
     """Median absolute deviation from the median, without a consistency factor.
 
@@ -194,7 +322,7 @@ def mad(x) -> float:
         raise InvalidInputError("mad requires at least one value")
     if not np.all(np.isfinite(v)):
         raise InvalidInputError("values must be finite")
-    m = float(np.median(np.abs(v - np.median(v))))
+    m = float(_mads(v[:, None])[0])
     if m == 0.0:
-        raise DegenerateScaleError("zero mad: more than half of the values tie")
+        raise DegenerateScaleError(_ZERO_MAD)
     return m

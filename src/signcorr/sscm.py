@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .robust import as_data_matrix, as_location, spatial_median, spatial_signs
+from .robust import _signs_of_one, as_data_matrix, as_location, spatial_median
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,18 @@ def sscm(data, center) -> SscmEstimate:
     x = as_data_matrix(data)
     n, p = x.shape
     c = as_location(center, p)
-    s = spatial_signs(x, c)
-    m = s.T @ s / n
-    m = (m + m.T) / 2.0
-    n_eff = int(np.count_nonzero(np.any(s != 0.0, axis=1)))
-    return SscmEstimate(matrix=m, center_used=c, n_effective=n_eff, n=n)
+    s = _signs_of_one(x, c)
+    n_eff = int(np.count_nonzero(np.any(s[0] != 0.0, axis=0)))
+    return SscmEstimate(matrix=_sign_covariances(s)[0], center_used=c, n_effective=n_eff, n=n)
+
+
+def _sign_covariances(s):
+    """SSCMs (B, p, p) of the spatial signs ``s`` (B, p, n).
+
+    Entry (i, j) is one sum over the observations, the same for (j, i), so
+    the matrices are exactly symmetric.
+    """
+    return np.einsum("bin,bjn->bij", s, s) / s.shape[2]
 
 
 def sscm_auto(data) -> SscmEstimate:

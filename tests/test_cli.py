@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -186,3 +189,12 @@ class TestUsageErrors:
     def test_unknown_method(self, tmp_path, capsys):
         path = write(tmp_path, "cross.csv", CROSS_CSV)
         assert main(["estimate", "--method", "tyler", "--input", path]) == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "signcorr", "--help"], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: signcorr ")

@@ -7,6 +7,7 @@ from scipy import stats
 
 import signcorr as sc
 from signcorr import elliptical as el
+from signcorr import robust
 from signcorr.correlation import CorrelationEstimate
 from signcorr.exceptions import (
     DegenerateDataError,
@@ -16,6 +17,9 @@ from signcorr.exceptions import (
 )
 
 CROSS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+# MAD 5e-187: MAD-standardized, the column reaches 1.7e192, whose square
+# overflows, while the 1 it maps 5e-187 to is 1e-192 of that.
+OVERFLOW_COLUMN = [-831642.0, 1e-209, -860436.0, 593162.0, 5e-187, 0.0, 0.0]
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +125,35 @@ class TestSscorTwoStage:
             sc.sscor_two_stage(x)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPowerOfTwoPrescale:
+    """Each sample is scaled by a power of two before its spatial median.
+
+    Unscaled, the squared distances of OVERFLOW_COLUMN overflow, with a
+    RuntimeWarning that these tests turn into an error.
+    """
+
+    def test_two_stage_gives_a_typed_error(self):
+        # Relative to the standardized column the other coordinate is
+        # 1e-192, so every spatial sign lies on the first axis.
+        x = np.column_stack([OVERFLOW_COLUMN, [0.3, -1.2, 2.5, 0.7, -0.4, 1.9, -2.2]])
+        with pytest.raises(DegenerateDataError, match="collapsed onto a coordinate axis"):
+            sc.sscor_two_stage(x)
+
+    def test_subnormal_mad_standardizes_without_overflow(self):
+        # MAD 2.2e-309 next to a 1: the plain quotient 4.5e308 overflows.
+        a = [2.22507386e-309, 0.0, 1.0]
+        x = np.column_stack([a, a])
+        assert sc.sscor_two_stage(x).rho == 1.0
+        assert sc.multivariate_matrix(x).matrix[0, 1] == 1.0
+
+    def test_scaling_changes_no_bit(self, correlated_sample):
+        x = correlated_sample[:200]
+        rho = sc.sscor(x).rho
+        for e in (-1000, -600, 600, 1000):
+            assert sc.sscor(np.ldexp(x, e)).rho == rho
+
+
 class TestConfidenceInterval:
     def test_formula_against_normal_quantile(self):
         est = CorrelationEstimate(rho=0.0, method="two_stage", n=100)
@@ -177,8 +210,98 @@ class TestPairwiseMatrix:
             np.arange(8.0) ** 2,
             np.full(8, 1.0),
         ])
-        with pytest.raises(DegenerateScaleError, match="column 2"):
+        with pytest.raises(DegenerateScaleError, match="column 2: zero mad"):
             sc.pairwise_matrix(x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 60),
+        st.integers(2, 6),
+        st.sampled_from(["t3", "rounded", "copy", "constant"]),
+    )
+    def test_entries_are_the_two_stage_estimate_bitwise(self, seed, n, p, kind):
+        # All pairs go through one batched kernel; each entry must still be
+        # exactly the two-stage estimate on its own pair, and a failing
+        # estimate must fail like the first failing pair in row-major order.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_t(3, size=(n, p))
+        if kind == "rounded":  # ties and coinciding observations
+            x = np.round(x)
+        elif kind == "copy":
+            x[:, -1] = x[:, 0]
+        elif kind == "constant":
+            x[: n // 2 + 1, -1] = 0.0
+        pairs = list(zip(*np.triu_indices(p, k=1)))
+        try:
+            r = sc.pairwise_matrix(x).matrix
+        except DegenerateScaleError as exc:
+            j = int(str(exc).split(":")[0].removeprefix("column "))
+            mads = [np.median(np.abs(c - np.median(c))) for c in x.T]
+            assert mads[j] == 0.0 and all(m > 0.0 for m in mads[:j])
+            return
+        except SignCorrError as exc:
+            for i, j in pairs:
+                try:
+                    sc.sscor_two_stage(x[:, [i, j]])
+                except SignCorrError as pair_exc:
+                    assert type(pair_exc) is type(exc)
+                    if isinstance(exc, DegenerateDataError):
+                        assert str(exc) == f"pair ({i}, {j}): {pair_exc}"
+                    return
+            raise AssertionError(f"pairwise raised {exc!r} where every pair succeeds")
+        for i, j in pairs:
+            assert r[i, j] == r[j, i] == sc.sscor_two_stage(x[:, [i, j]]).rho
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 60), st.permutations(range(5)))
+    def test_column_permutation_permutes_the_matrix(self, seed, n, perm):
+        # Bitwise where the permutation keeps the order of a pair. Where it
+        # swaps the pair, the entry is read off v[1, 0] instead of v[0, 1]
+        # of the rebuilt shape matrix (u * lam) @ u.T, whose products are
+        # rounded in another order: a few units of 2**-53.
+        x = np.random.default_rng(seed).standard_t(3, size=(n, 5))
+        try:
+            r = sc.pairwise_matrix(x).matrix
+        except SignCorrError:
+            return
+        q = sc.pairwise_matrix(x[:, perm]).matrix
+        for i, j in zip(*np.triu_indices(5, k=1)):
+            expected = r[perm[i], perm[j]]
+            if perm[i] < perm[j]:
+                assert q[i, j] == expected
+            else:
+                assert abs(q[i, j] - expected) <= 1e-15
+
+    @pytest.mark.parametrize("family, df, seed, rep", [
+        ("laplace", None, 14323281278118823144, 27),
+        ("t", 5.0, 1776680473139111193, 12),
+    ])
+    def test_stalling_pair_in_a_wider_matrix(self, monkeypatch, family, df, seed, rep):
+        # The samples of test_robust's minimizer-next-to-a-data-point test:
+        # in the batched kernel their row falls back to the scalar iteration.
+        x = el.sample(el.spherical_model(family, 2, df), 100, el.replication_rng(seed, rep))
+        noise = np.random.default_rng(0).normal(size=(100, 2))
+        wide = np.column_stack([noise[:, 0], x[:, 0], noise[:, 1], x[:, 1]])
+        fallbacks = []
+        scalar = robust._weiszfeld
+        monkeypatch.setattr(robust, "_weiszfeld",
+                            lambda *args, **kw: fallbacks.append(args[0]) or scalar(*args, **kw))
+        r = sc.pairwise_matrix(wide).matrix
+        assert fallbacks
+        assert r[1, 3] == sc.sscor_two_stage(x).rho
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_column_fails_its_first_pair(self):
+        # Every pair with column 2 collapses (see TestPowerOfTwoPrescale);
+        # the error names the first of them in row-major order.
+        other = np.random.default_rng(22).standard_t(3, size=(7, 3))
+        x = np.column_stack([other[:, 0], other[:, 1], OVERFLOW_COLUMN, other[:, 2]])
+        with pytest.raises(DegenerateDataError) as exc_info:
+            sc.pairwise_matrix(x)
+        with pytest.raises(DegenerateDataError) as pair_info:
+            sc.sscor_two_stage(x[:, [0, 2]])
+        assert str(exc_info.value) == f"pair (0, 2): {pair_info.value}"
 
 
 class TestMultivariateMatrix:

@@ -132,6 +132,18 @@ class TestSpatialMedian:
         rho = sc.sscor_two_stage(x).rho
         assert abs(sc.multivariate_matrix(x).matrix[0, 1] - rho) <= 1e-15
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_past_the_overflow_threshold(self):
+        # MAD-standardized, the first column reaches 1.7e192: its squared
+        # distances overflow unless the sample is scaled down first. The
+        # scaling is by a power of two, so it changes no bit of the median.
+        x = np.column_stack([[-831642.0, 1e-209, -860436.0, 593162.0, 5e-187, 0.0, 0.0],
+                             [0.3, -1.2, 2.5, 0.7, -0.4, 1.9, -2.2]])
+        z = x / np.array([mad(x[:, 0]), mad(x[:, 1])])
+        mu = spatial_median(z)
+        assert np.all(np.isfinite(mu))
+        assert np.array_equal(mu, np.ldexp(spatial_median(np.ldexp(z, -600)), 600))
+
     def test_nonconvergence_raises_with_payload(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(40, 2))

@@ -71,7 +71,7 @@ def test_scale_invariance_exact_for_binary_scalings():
     x = rng.normal(size=(20, 3))
     t = rng.normal(size=3)
     base = sscm(x, t).matrix
-    for c in (0.5, 2.0, 1024.0, 2.0**-20):
+    for c in (0.5, 2.0, 1024.0, 2.0**-20, 2.0**700, 2.0**-700):
         assert np.array_equal(sscm(c * x, c * t).matrix, base)
 
 
