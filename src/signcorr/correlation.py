@@ -9,9 +9,8 @@
   to a correlation matrix (positive semi-definite by construction).
 
 All four run one shape fit, the batched kernel ``_shape_fits``: for a
-stack of samples it finds every spatial median in one vectorized
-Weiszfeld pass (``robust``; rows that come near a data point or do not
-converge fall back to the scalar iteration), forms the SSCMs in one
+stack of samples it finds every spatial median in one stacked,
+safeguarded Newton iteration (``robust``), forms the SSCMs in one
 ``einsum``, eigendecomposes them in one stacked ``eigh``, maps the SSCM
 eigenvalues back to shape eigenvalues (``eigenmap.inverse``: closed form
 at p=2, for all rows at once; fixed point above, row by row) and sets

@@ -72,7 +72,7 @@ def to_correlation(v) -> np.ndarray:
     bad = np.flatnonzero(d <= 0.0)
     if bad.size:
         raise DegenerateScaleError(
-            f"nonpositive diagonal entry {d[bad[0]]!r} at index {bad[0]}"
+            f"nonpositive diagonal entry {float(d[bad[0]])} at index {bad[0]}"
         )
     s = 1.0 / np.sqrt(d)
     r = v * np.outer(s, s)

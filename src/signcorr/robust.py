@@ -12,15 +12,16 @@ that brings its largest entry below one. This changes no bit of the
 median, the signs or the SSCM wherever nothing over- or underflowed, and
 keeps squared distances finite for data of any finite range.
 
-The spatial medians are found by vectorized Weiszfeld steps on all rows,
-dropping the converged rows from the active set. A row falls back to the
-scalar iteration, restarted from scratch, when an iterate comes within
-``proximity`` of a data point (or lands on one) or when it has not
-converged in ``_BATCH_ROUNDS`` steps. The scalar iteration adds the
-Vardi-Zhang correction (Vardi & Zhang 2000, PNAS 97), which keeps the
-iteration moving when an iterate lands exactly on a data point (plain
-Weiszfeld stalls there), and safeguarded Newton steps when the minimizer
-lies just off a data point (plain Weiszfeld crawls there).
+All rows of a stack find their spatial medians in one iteration, and a
+row leaves the stack when it converges. Each step first tests whether the
+row's nearest data point is the minimizer, by the Vardi-Zhang condition
+(Vardi & Zhang 2000, PNAS 97): plain Weiszfeld reaches such a minimizer
+only sublinearly. Off the data points it then tries a Newton
+step on the sum of distances and keeps it only when it lowers that sum
+(Overton 1983, Math. Programming 27); this resolves in a few steps the
+minimizers just off a data point, where Weiszfeld crawls. Otherwise the
+row takes the Weiszfeld step, or the Vardi-Zhang step when it sits on a
+data point, which keeps it moving where Weiszfeld would stall.
 """
 
 import numpy as np
@@ -30,17 +31,6 @@ from .exceptions import ConvergenceError, DegenerateScaleError, InvalidInputErro
 # Residuals smaller than this times the vector magnitude are treated as zero
 # when forming spatial signs, to avoid amplifying cancellation noise.
 _ZERO_RESIDUAL_RTOL = 1e-12
-
-# Steps that also try a Newton step. Weiszfeld needs a few hundred steps
-# unless the minimizer lies just off a data point, where its rate tends to
-# one (1 in 10^4 bivariate samples of size 100 needs over 3000); Newton then
-# converges in a few steps, and a run it cannot rescue is not slowed further.
-_NEWTON_STEPS = range(3000, 3200)
-
-# Vectorized Weiszfeld steps before a row that has not converged falls back
-# to the scalar iteration. Rows need a few dozen steps unless their
-# minimizer lies near a data point, which the scalar iteration handles.
-_BATCH_ROUNDS = 200
 
 
 def as_data_matrix(data) -> np.ndarray:
@@ -137,17 +127,17 @@ def _signs(z, c):
 def spatial_median(data, *, tol=1e-9, max_iter=10_000) -> np.ndarray:
     """Minimizer of the sum of Euclidean distances to the observations.
 
-    Starts from the coordinatewise median and iterates Weiszfeld steps.
-    When an iterate comes near a data point the scalar iteration takes
-    over from the start: it tests the Vardi-Zhang rule, which either
-    certifies the data point as optimal or steps off it, and on steps
-    3000 to 3199 off the data points also tries a Newton step and keeps
-    it when it lowers the objective more than the Weiszfeld step.
+    Starts from the coordinatewise median. Each step tests whether the
+    nearest data point is optimal (the Vardi-Zhang certificate), then tries
+    a Newton step and keeps it when it lowers the objective; otherwise it
+    takes the Weiszfeld step, or the Vardi-Zhang step from a data point the
+    iterate sits on.
 
     The returned point satisfies the first-order condition: either the
     mean spatial sign of the residuals has norm <= ``tol``, or the point
     coincides with a data point whose remaining sign-sum norm does not
-    exceed its multiplicity.
+    exceed its multiplicity, up to one rounding error (machine epsilon)
+    per observation.
 
     Raises
     ------
@@ -165,137 +155,127 @@ def spatial_median(data, *, tol=1e-9, max_iter=10_000) -> np.ndarray:
     return np.ldexp(mu[0], k[0])
 
 
+def _offsets(x, m):
+    """Residuals ``x - m`` of the stack (B, p, n) and their norms (B, n)."""
+    d = x - m[:, :, None]
+    # One pass, unlike _norms; with n >= 2 observations along the inner axis
+    # every row still sums in the same order, whatever the stack.
+    return d, np.sqrt(np.einsum("bpn,bpn->bn", d, d))
+
+
+def _sign_sums(d, dist):
+    """Signs (B, p, n), weights 1/dist (B, n), sign sums (B, p), their norms
+    and the number of observations at distance zero, whose sign and weight
+    are zero."""
+    at = dist == 0.0
+    w = 1.0 / np.where(at, np.inf, dist)
+    s = d * w[:, None, :]
+    r = s.sum(axis=2)
+    return s, w, r, np.sqrt(np.einsum("bp,bp->b", r, r)), at.sum(axis=1)
+
+
+def _newton_steps(s, w, r):
+    """Newton steps H^-1 r (B, p) on the sum of distances, and the rows where
+    the Hessian H = sum w (I - s s^T) is nonsingular (elsewhere the step is
+    meaningless)."""
+    p = s.shape[1]
+    if p == 2:
+        # H = sum w t t^T with t = (-s1, s0), from three weighted sums; the
+        # terms pair so that swapping the coordinates swaps the step bit for bit.
+        s0, s1 = s[:, 0], s[:, 1]
+        a, b, c = (np.einsum("bn,bn->b", w, t) for t in (s1 * s1, s0 * s1, s0 * s0))
+        det = a * c - b * b
+        ok = det > 0.0
+        det[~ok] = 1.0
+        step = np.stack([c * r[:, 0] + b * r[:, 1], b * r[:, 0] + a * r[:, 1]], axis=1)
+        return step / det[:, None], ok
+    eye = np.eye(p)
+    # sum w s s^T as a @ a^T, with a = sqrt(w) s: the product of an array
+    # with its own transpose runs as one symmetric rank-n update.
+    a = s * np.sqrt(w)[:, None, :]
+    hess = w.sum(axis=1)[:, None, None] * eye - a @ a.swapaxes(1, 2)
+    ok = np.linalg.slogdet(hess)[0] > 0.0
+    hess[~ok] = eye  # np.linalg.solve would raise for the whole stack
+    return np.linalg.solve(hess, r[:, :, None])[:, :, 0], ok
+
+
 def _spatial_medians(z, k, *, tol=1e-9, max_iter=10_000):
     """Spatial medians (B, p) of the rows of the scaled stack ``z`` (B, p, n).
 
     ``k`` holds the exponents returned by ``_pow2_scaled``; the medians are
     returned in the scaled units, with {row: ConvergenceError} for the rows
-    whose scalar iteration did not converge.
+    that did not converge. The rows step together and leave the stack as
+    they converge.
     """
     n = z.shape[2]
     mu = np.median(z, axis=2)
-    # 1e-6 * max(1, largest observation norm) in the units of the data.
-    proximity = 1e-6 * np.maximum(np.ldexp(1.0, -k), np.max(_norms(z), axis=1))
     rows = np.arange(z.shape[0])
-    x, m, prox = z, mu, proximity
-    fallback = []
-    for _ in range(min(_BATCH_ROUNDS, max_iter)):
-        d = x - m[:, :, None]
-        # One pass, unlike _norms; with n >= 2 observations along the inner
-        # axis every row still sums in the same order, whatever the stack.
-        dist = np.sqrt(np.einsum("bpn,bpn->bn", d, d))
-        near = dist.min(axis=1) < prox
-        if near.any():
-            fallback.extend(rows[near])
-            keep = ~near
-            x, m, d, dist, rows, prox = x[keep], m[keep], d[keep], dist[keep], rows[keep], prox[keep]
-            if not rows.size:
-                break
-        w = 1.0 / dist
-        r = np.einsum("bpn,bn->bp", d, w)  # the sign sum
-        step = r / w.sum(axis=1)[:, None]  # to the Weiszfeld point
-        done = np.sqrt(np.einsum("bp,bp->b", r, r)) / n <= tol
+    x, m = z, mu.copy()
+    d, dist = _offsets(x, m)
+    tested = np.full(rows.size, -1)  # the nearest data point last tested
+    resid = np.full(rows.size, np.inf)
+    # The optimality condition at a data point, |r| <= eta, holds with
+    # equality for symmetric data (ties in integer data), where rounding
+    # puts the computed |r| an ulp or so above eta: allow one rounding
+    # error, eps, per unit sign in the sum.
+    slack = n * np.finfo(float).eps
+    for _ in range(max_iter):
+        s, w, r, norm, eta = _sign_sums(d, dist)
+        resid = norm / n
+        done = np.where(eta > 0, norm <= eta + slack, resid <= tol)
+        # Weiszfeld reaches a minimizer at a data point only sublinearly, so
+        # test the optimality condition at the nearest data point. It depends
+        # on that point alone, so a row tests each point once.
+        nearest = np.argmin(dist, axis=1)
+        fresh = np.flatnonzero(~done & (eta == 0) & (nearest != tested))
+        if fresh.size:
+            tested[fresh] = nearest[fresh]
+            x_f = x[fresh]
+            y = np.take_along_axis(x_f, nearest[fresh, None, None], axis=2)[:, :, 0]
+            *_, norm_y, eta_y = _sign_sums(*_offsets(x_f, y))
+            optimal = norm_y <= eta_y + slack
+            m[fresh[optimal]] = y[optimal]
+            done[fresh[optimal]] = True
         if done.any():
             mu[rows[done]] = m[done]
             keep = ~done
-            x, m, step, rows, prox = x[keep], m[keep], step[keep], rows[keep], prox[keep]
+            x, m, d, dist, s, w, r, norm, eta, tested, resid, rows = (
+                a[keep] for a in (x, m, d, dist, s, w, r, norm, eta, tested, resid, rows))
             if not rows.size:
                 break
-        m = m + step
-    fallback.extend(rows)  # rows still active after the batched rounds
+        # The Weiszfeld point m + r / sum(w); on a data point of multiplicity
+        # eta the Vardi-Zhang step shortens it by the factor 1 - eta / |r|.
+        weiszfeld = m + r * ((1.0 - eta / norm) / w.sum(axis=1))[:, None]
+        # Off the data points try Newton first, and keep it only if it lowers
+        # the objective sum(dist). The change is summed term by term as
+        # (|v|^2 - 2 d.v) / (dist' + dist) for the move v, without the
+        # cancellation of sum(dist') - sum(dist), so that near convergence,
+        # where the gain is below the rounding of either sum, it still has the
+        # right sign. A step that overflows is rejected with the rest.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            delta, newton = _newton_steps(s, w, r)
+            newton &= eta == 0
+            trial = np.where(newton[:, None], m + delta, weiszfeld)
+            d_t, dist_t = _offsets(x, trial)
+            v = trial - m
+            change = (v * v).sum(axis=1)[:, None] - 2.0 * np.einsum("bpn,bp->bn", d, v)
+            change /= dist_t + dist
+            back = newton & ~(change.sum(axis=1) < 0.0)
+        if back.any():
+            trial[back] = weiszfeld[back]
+            d_t[back], dist_t[back] = _offsets(x[back], weiszfeld[back])
+        m, d, dist = trial, d_t, dist_t
     errors = {}
-    for b in sorted(fallback):
-        try:
-            mu[b] = _weiszfeld(np.ascontiguousarray(z[b].T), proximity[b], k[b],
-                               tol=tol, max_iter=max_iter)
-        except ConvergenceError as exc:
-            errors[int(b)] = exc
+    for i, b in enumerate(rows):
+        mu[b] = m[i]
+        errors[int(b)] = ConvergenceError(
+            f"spatial median did not converge in {max_iter} iterations "
+            f"(mean sign residual {resid[i]:.3e})",
+            iterations=max_iter,
+            residual=float(resid[i]),
+            last_iterate=np.ldexp(m[i], k[b]),
+        )
     return mu, errors
-
-
-def _weiszfeld(x, proximity, k, *, tol, max_iter):
-    """The scalar Vardi-Zhang and Newton safeguarded iteration on ``x`` (n, p).
-
-    ``x`` is in the scaled units of ``_pow2_scaled`` with exponent ``k``; a
-    ConvergenceError carries its last iterate in the units of the data.
-    """
-    n = x.shape[0]
-    mu = np.median(x, axis=0)
-    resid = np.inf
-
-    for it in range(max_iter):
-        dist = np.linalg.norm(x - mu, axis=1)
-        nearest = int(np.argmin(dist))
-        if 0.0 < dist[nearest] < proximity:
-            # Weiszfeld approaches a data-point minimizer only sublinearly,
-            # so test the exact subgradient certificate at the nearby point.
-            certified = _certified_data_point(x, x[nearest])
-            if certified is not None:
-                return certified
-
-        at_point = dist == 0.0
-        eta = int(at_point.sum())
-        off = ~at_point
-        w = 1.0 / dist[off]
-        r_vec = (x[off] - mu).T @ w
-        r = float(np.linalg.norm(r_vec))
-        resid = r / n
-
-        if eta > 0:
-            if r <= eta:
-                return mu  # optimal at a data point
-            t = (x[off].T @ w) / w.sum()
-            step = min(1.0, eta / r)
-            mu = (1.0 - step) * t + step * mu
-        else:
-            if resid <= tol:
-                return mu
-            weiszfeld = (x[off].T @ w) / w.sum()
-            mu = _newton_or(x, mu, dist, weiszfeld) if it in _NEWTON_STEPS else weiszfeld
-
-    raise ConvergenceError(
-        f"spatial median did not converge in {max_iter} iterations "
-        f"(mean sign residual {resid:.3e})",
-        iterations=max_iter,
-        residual=resid,
-        last_iterate=np.ldexp(mu, k),
-    )
-
-
-def _newton_or(x, mu, dist, fallback):
-    """Newton step from ``mu`` if it lowers the objective below ``fallback``.
-
-    ``mu`` lies on no data point. The Hessian sum_i (I - s_i s_i^T) / d_i
-    resolves the stiff direction across a nearby data point that makes
-    Weiszfeld crawl.
-    """
-    signs = (x - mu) / dist[:, None]
-    w = 1.0 / dist
-    hess = w.sum() * np.eye(x.shape[1]) - (signs * w[:, None]).T @ signs
-    try:
-        newton = mu + np.linalg.solve(hess, signs.sum(axis=0))
-    except np.linalg.LinAlgError:
-        return fallback
-    objective = np.linalg.norm(x - np.stack([newton, fallback])[:, None], axis=2).sum(axis=1)
-    return newton if objective[0] < objective[1] else fallback
-
-
-def _certified_data_point(x, y):
-    """``y`` (a data row) if the sum-of-distances objective is minimal there.
-
-    At a data point of multiplicity eta the optimality condition is that the
-    residual sign sum over the other observations has norm at most eta; this
-    is exact, so a passing point can be returned no matter how far the
-    current iterate still is.
-    """
-    dist = np.linalg.norm(x - y, axis=1)
-    at = dist == 0.0
-    eta = int(at.sum())
-    off = ~at
-    r_vec = ((x[off] - y) / dist[off, None]).sum(axis=0)
-    if float(np.linalg.norm(r_vec)) <= eta:
-        return y.copy()
-    return None
 
 
 _ZERO_MAD = "zero mad: more than half of the values tie"

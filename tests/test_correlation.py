@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from scipy import stats
 
 import signcorr as sc
 from signcorr import elliptical as el
-from signcorr import robust
 from signcorr.correlation import CorrelationEstimate
 from signcorr.exceptions import (
     DegenerateDataError,
@@ -277,19 +278,24 @@ class TestPairwiseMatrix:
         ("laplace", None, 14323281278118823144, 27),
         ("t", 5.0, 1776680473139111193, 12),
     ])
-    def test_stalling_pair_in_a_wider_matrix(self, monkeypatch, family, df, seed, rep):
-        # The samples of test_robust's minimizer-next-to-a-data-point test:
-        # in the batched kernel their row falls back to the scalar iteration.
+    def test_stalling_pair_in_a_wider_matrix(self, family, df, seed, rep):
+        # The samples of test_robust's minimizer-next-to-a-data-point test,
+        # stacked with pairs that converge in a few steps.
         x = el.sample(el.spherical_model(family, 2, df), 100, el.replication_rng(seed, rep))
         noise = np.random.default_rng(0).normal(size=(100, 2))
         wide = np.column_stack([noise[:, 0], x[:, 0], noise[:, 1], x[:, 1]])
-        fallbacks = []
-        scalar = robust._weiszfeld
-        monkeypatch.setattr(robust, "_weiszfeld",
-                            lambda *args, **kw: fallbacks.append(args[0]) or scalar(*args, **kw))
         r = sc.pairwise_matrix(wide).matrix
-        assert fallbacks
         assert r[1, 3] == sc.sscor_two_stage(x).rho
+
+    def test_minimizer_at_a_data_point_of_exact_multiplicity(self):
+        # The spatial median of pair (0, 1) is a data point whose sign sum
+        # has norm exactly its multiplicity, which plain Weiszfeld approaches
+        # only sublinearly: 10000 steps ended in a ConvergenceError.
+        x = [[-1, -2, 0], [-2, -2, 1], [2, 2, -1], [1, 1, -1]]
+        start = time.perf_counter()
+        r = sc.pairwise_matrix(x).matrix
+        assert time.perf_counter() - start < 1.0
+        assert np.all(np.isfinite(r))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_column_fails_its_first_pair(self):
@@ -343,6 +349,42 @@ class TestMultivariateMatrix:
             assert multivariate is two_stage
         else:
             assert abs(multivariate - two_stage) <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 60),
+        st.integers(2, 6),
+        st.sampled_from(["t3", "rounded", "copy", "constant"]),
+        st.randoms(use_true_random=False),
+    )
+    def test_psd_and_permutation_equivariant(self, seed, n, p, kind, random):
+        # Permuting the columns permutes the matrix, and a failing input
+        # fails with the same exception class in any order. Not bitwise: the
+        # permuted SSCM is eigendecomposed with other rounding, which moves
+        # about a quarter of the entries by 1e-15 to 3e-15.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_t(3, size=(n, p))
+        if kind == "rounded":  # ties and coinciding observations
+            x = np.round(x)
+        elif kind == "copy":
+            x[:, -1] = x[:, 0]
+        elif kind == "constant":
+            x[: n // 2 + 1, -1] = 0.0
+        perm = list(range(p))
+        random.shuffle(perm)
+        outcomes = []
+        for columns in (list(range(p)), perm):
+            try:
+                outcomes.append(sc.multivariate_matrix(x[:, columns]).matrix)
+            except SignCorrError as exc:
+                outcomes.append(type(exc))
+        r, q = outcomes
+        if isinstance(r, type):
+            assert q is r
+            return
+        assert np.linalg.eigvalsh(r).min() >= -1e-12
+        assert np.max(np.abs(q - r[np.ix_(perm, perm)])) <= 1e-14
 
     def test_independent_spherical_p5(self):
         x = el.sample(el.spherical_model("normal", 5), 50_000, el.make_rng(12))

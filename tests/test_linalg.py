@@ -113,3 +113,9 @@ def test_to_correlation_rejects_bad_diagonal():
         to_correlation(np.diag([1.0, 0.0, 2.0]))
     with pytest.raises(DegenerateScaleError):
         to_correlation(np.diag([1.0, -2.0]))
+
+
+def test_to_correlation_message_prints_a_plain_float():
+    with pytest.raises(DegenerateScaleError) as exc_info:
+        to_correlation(np.diag([1.0, 0.0, 2.0]))
+    assert str(exc_info.value) == "nonpositive diagonal entry 0.0 at index 1"

@@ -1,5 +1,10 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import signcorr as sc
 from signcorr import elliptical as el
@@ -26,6 +31,20 @@ def _first_order_ok(x, mu, tol=1e-9):
     if at.any():
         return r <= at.sum()
     return r / x.shape[0] <= tol
+
+
+def _optimal_data_point(x, mu):
+    """Whether ``mu`` is a row of the integer data ``x`` at which the sign sum
+    of the other rows has norm at most the multiplicity, in 40-digit
+    arithmetic: where it holds with equality, float64 can round either way."""
+    if not np.any(np.all(x == mu, axis=1)):
+        return False
+    with localcontext() as ctx:
+        ctx.prec = 40
+        d = [[Decimal(int(a)) - Decimal(int(b)) for a, b in zip(row, mu)] for row in x]
+        norms = [sum(t * t for t in row).sqrt() for row in d]
+        r = [sum(row[j] / nr for row, nr in zip(d, norms) if nr) for j in range(x.shape[1])]
+        return sum(t * t for t in r).sqrt() <= norms.count(0) + Decimal("1e-30")
 
 
 class TestSpatialSign:
@@ -125,12 +144,25 @@ class TestSpatialMedian:
     def test_minimizer_next_to_a_data_point(self, family, df, seed, rep):
         # After MAD standardization the minimizer lies a few 1e-6 from a data
         # point whose sign sum just exceeds its multiplicity; plain Weiszfeld
-        # needs more than 10000 steps there.
+        # needs more than 10000 steps there, safeguarded Newton a dozen.
         x = el.sample(el.spherical_model(family, 2, df), 100, el.replication_rng(seed, rep))
         z = x / np.array([mad(x[:, 0]), mad(x[:, 1])])
-        assert _first_order_ok(z, spatial_median(z, max_iter=3100))
+        assert _first_order_ok(z, spatial_median(z, max_iter=50))
         rho = sc.sscor_two_stage(x).rho
         assert abs(sc.multivariate_matrix(x).matrix[0, 1] - rho) <= 1e-15
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(3, 8), st.integers(2, 3)),
+                  elements=st.integers(-3, 3)))
+    @example(np.array([[-2.0, -3.0], [-1.0, -2.0], [1.0, 1.0], [2.0, 1.0]]))
+    def test_first_order_condition_on_small_integer_data(self, x):
+        # Ties and duplicates are common here, and so are minimizers at a
+        # data point whose sign sum has norm exactly its multiplicity. In the
+        # example the minimizer is (-1, -2), the sign sum there is (2, 3)/13**0.5
+        # and float64 computes its norm as 1 + 2**-52, so _first_order_ok
+        # rejects it; such a point is checked in 40-digit arithmetic instead.
+        mu = spatial_median(x)
+        assert _first_order_ok(x, mu) or _optimal_data_point(x, mu)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_past_the_overflow_threshold(self):
