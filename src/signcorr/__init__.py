@@ -3,7 +3,7 @@
 The toolkit covers the empirical spatial sign covariance matrix and its
 canonical spatial-median centering, the map between shape-matrix
 eigenvalues and sign-covariance eigenvalues (closed form for two
-dimensions, quadrature plus fixed-point inversion in general), four
+dimensions, quadrature plus Newton inversion in general), four
 correlation estimators built on it, elliptical samplers and a reproducible
 Monte Carlo harness.
 """

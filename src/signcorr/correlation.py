@@ -13,12 +13,12 @@ stack of samples it finds every spatial median in one stacked,
 safeguarded Newton iteration (``robust``), forms the SSCMs in one
 ``einsum``, eigendecomposes them in one stacked ``eigh``, maps the SSCM
 eigenvalues back to shape eigenvalues (``eigenmap.inverse``: closed form
-at p=2, for all rows at once; fixed point above, row by row) and sets
-them on the SSCM eigenvectors. ``pairwise_matrix`` stacks all column
-pairs; the other estimators stack one sample. Each row is computed on
-its own, so a pairwise entry is bitwise the two-stage estimate on its
-pair, and at p=2 the multivariate estimate is the two-stage estimate up
-to rounding in the rescaling.
+at p=2, for all rows at once; safeguarded Newton steps above, row by row)
+and sets them on the SSCM eigenvectors. ``pairwise_matrix`` stacks all
+column pairs; the other estimators stack one sample. Each row is
+computed on its own, so a pairwise entry is bitwise the two-stage
+estimate on its pair, and at p=2 the multivariate estimate is the
+two-stage estimate up to rounding in the rescaling.
 
 ``moment_matrix`` (plain Pearson) is the comparison baseline, and the
 asymptotic variance formulas give Wald confidence intervals for the

@@ -11,10 +11,13 @@ one-dimensional integral over [0, inf),
 Gauss-Legendre rule after the substitution x = 1/u**2 - 1 (as Carlson 1995
 does for R_D), on shared nodes for all components. The reverse
 direction has the closed form lam_i proportional to d_i**2 for dimension
-2, which ``inverse_full`` uses there; for larger dimensions it is solved
-by a normalized fixed-point iteration on the same integrals.
+2, which ``inverse_full`` uses there and wherever exactly two eigenvalues
+are nonzero; for larger dimensions it is solved by a safeguarded Newton
+iteration in log(lam), whose Jacobian is integrated on the same nodes as
+the map, with the fixed-point step of the map as its fallback.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +30,21 @@ from .exceptions import (
 )
 
 # Tolerances fixed for the whole artifact: spectra are renormalized on
-# construction when their sum is within _SUM_TOL of one, and the
-# fixed-point inversion stops at _FP_TOL. The stopping tolerance is one
-# order below the guaranteed accuracy: the iteration converges linearly, so
-# the distance of the accepted iterate to the fixed point is a small
-# multiple of the last step size.
+# construction when their sum is within _SUM_TOL of one, and the inversion
+# stops when a step changes no eigenvalue by more than _FP_TOL relative to
+# itself. Newton converges quadratically, so after a Newton step that small
+# the iterate is accurate to roundoff; a run of fixed-point fallback steps
+# converges linearly, and stops a small multiple of _FP_TOL from the
+# solution. _FP_MAX_ITER bounds the steps; random spectra of p = 3..12
+# with entries down to 1e-8 take at most 8. The relative misfit of an exact
+# inverse is rounding noise of a few ulps, far below _MISFIT_FLOOR: a
+# misfit below that floor which a Newton step no longer lowers has
+# converged.
 _SUM_TOL = 1e-9
 _NEG_TOL = 1e-12
 _FP_TOL = 1e-11
 _FP_MAX_ITER = 500
+_MISFIT_FLOOR = 256 * np.finfo(float).eps
 
 # 32-point Gauss-Legendre rule on [-1, 1], applied on every panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -71,27 +80,62 @@ def _canonical(v):
     return np.sort(v, axis=-1)[..., ::-1] / v.sum(axis=-1, keepdims=True)
 
 
-def _integrate_all(lam):
-    """Every component integral at once, by one fixed Gauss-Legendre rule.
+@functools.lru_cache(maxsize=None)
+def _panel_rule(k):
+    """u**2, 1 - u**2 and log(u) at the nodes u, and the weights, of the rule
+    on the k + 1 panels [0, 2^-k], ..., [1/4, 1/2], [1/2, 1].
 
-    x = 1/u**2 - 1 turns component i into Int_0^1 2 u^(p-1) / (q_i *
-    prod_j sqrt(q_j)) du with q_j = u**2 + lam_j (1 - u**2), smooth on
-    [0, 1] for every p with features at the scale u ~ sqrt(lam_min). The
-    geometric panels [0, 2^-k], ..., [1/4, 1/2], [1/2, 1], with
-    k = ceil(-log2(lam_min) / 2) + 1, resolve it to roundoff. The shared
-    product is formed through logs so that large p does not underflow.
+    k is at most 538 for a positive double, so the cache stays small; its
+    arrays are read-only because every caller shares them.
     """
-    if np.any(lam <= 0.0):
-        raise RankDeficiencyError("integrals require strictly positive eigenvalues")
-    k = int(np.ceil(-np.log2(lam.min()) / 2.0)) + 1
     breaks = np.concatenate(([0.0], 0.5 ** np.arange(k, -1, -1)))
     half = np.diff(breaks)[:, None] / 2.0
     u = ((breaks[:-1, None] + half) + half * _GL_NODES).ravel()
     w = (half * _GL_WEIGHTS).ravel()
     u2 = u * u
-    q = u2 + lam[:, None] * (1.0 - u2)
-    common = 2.0 * np.exp((lam.size - 1) * np.log(u) - 0.5 * np.sum(np.log(q), axis=0))
-    return (common / q) @ w
+    rule = (u2, 1.0 - u2, np.log(u), w)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _integrands(lam):
+    """The component integrands on the nodes of the rule for ``lam``.
+
+    x = 1/u**2 - 1 turns component i into Int_0^1 f_i du with f_i =
+    2 u^(p-1) / (q_i * prod_j sqrt(q_j)) and q_j = u**2 + lam_j (1 - u**2),
+    smooth on [0, 1] for every p with features at the scale u ~
+    sqrt(lam_min). The geometric panels of ``_panel_rule``, with
+    k = ceil(-log2(lam_min) / 2) + 1, resolve it to roundoff. The shared
+    product is formed through logs so that large p does not underflow.
+    Returns f (p, nodes), the weights, 1 - u**2 and q.
+    """
+    lo = lam.min()
+    if lo <= 0.0:
+        raise RankDeficiencyError("integrals require strictly positive eigenvalues")
+    u2, v2, log_u, w = _panel_rule(int(np.ceil(-np.log2(lo) / 2.0)) + 1)
+    q = u2 + lam[:, None] * v2
+    common = 2.0 * np.exp((lam.size - 1) * log_u - 0.5 * np.sum(np.log(q), axis=0))
+    return common / q, w, v2, q
+
+
+def _integrate_all(lam):
+    """Every component integral at once, by one fixed Gauss-Legendre rule."""
+    f, w, _, _ = _integrands(lam)
+    return f @ w
+
+
+def _integrals_and_jacobian(lam):
+    """The component integrals I and their Jacobian dI/dlam, on the same nodes.
+
+    With g_k = (1 - u**2) / q_k and M_ik = Int f_i g_k,
+    dI_i/dlam_k = -Int f_i (delta_ik g_i + g_k / 2) = -(delta_ik M_ii + M_ik / 2).
+    """
+    f, w, v2, q = _integrands(lam)
+    jac = (f * w) @ (v2 / q).T
+    jac *= -0.5
+    jac.flat[:: lam.size + 1] *= 3.0
+    return f @ w, jac
 
 
 def forward_p2(lam) -> np.ndarray:
@@ -154,15 +198,52 @@ class FixedPointResult:
     residual: float
 
 
+def _linearization(d, lam):
+    """Integrals, their Jacobian and the relative misfit 1 - d_i(lam) / d_i
+    of the normalized image of ``lam``."""
+    integrals, jac = _integrals_and_jacobian(lam)
+    image = 0.5 * lam * integrals
+    return integrals, jac, 1.0 - image / image.sum() / d
+
+
+def _newton_trial(d, lam, integrals, jac, misfit):
+    """The Newton trial spectrum from ``lam``, stepping in theta = log(lam).
+
+    Solves (diag(1/d) J diag(lam) + 1 lam^T) dtheta = misfit, with J the
+    Jacobian of the image d(lam). The map is blind to the scale of lam, so
+    J diag(lam) has the null vector 1; the rank-one term 1 lam^T removes
+    it. Row i is divided by d_i, as the misfit is: in absolute terms the
+    equation of a small eigenvalue would drown in the rounding of the
+    large ones, and the step would converge only linearly there.
+    """
+    dmap = 0.5 * (np.diag(integrals) + lam[:, None] * jac)  # d image / d lam
+    system = dmap * (lam / d[:, None]) + lam
+    try:
+        trial = lam * np.exp(np.linalg.solve(system, misfit))
+    except np.linalg.LinAlgError:  # a singular system: no Newton step
+        return np.full_like(lam, np.nan)
+    return trial / trial.sum()
+
+
 def inverse_full(delta, *, tol=_FP_TOL, max_iter=_FP_MAX_ITER) -> FixedPointResult:
     """Invert the eigenvalue map, with diagnostics.
 
     Two eigenvalues are inverted in closed form by ``inverse_p2`` (zero
-    iterations, zero residual; a rank-one spectrum maps to itself). Larger
-    spectra are inverted by fixed-point iteration: starting from the sign
-    spectrum itself, each step divides twice the target sign eigenvalue by
-    the current component integral and then renormalizes to sum one. It
-    stops when the sup-norm change drops to ``tol``.
+    iterations, zero residual; a rank-one spectrum maps to itself), and so
+    is a larger spectrum with exactly two nonzero entries: the zeros stay
+    zero. Otherwise, starting from lam proportional to delta^(1 + 2/p),
+    each step is a Newton step on log(lam), kept when it lowers the largest
+    relative misfit max_i |delta_i - d_i(lam)| / delta_i; when it does not,
+    the step is the fixed-point step that divides twice the target sign
+    eigenvalue by the current component integral and renormalizes to sum
+    one. The iteration stops when a step changes no eigenvalue by more than
+    ``tol`` relative to itself, or when the misfit has stopped falling at
+    its rounding floor.
+
+    ``iterations`` counts the steps taken (Newton or fixed-point; a
+    rejected Newton trial is not a step), and ``residual`` is the relative
+    change max_i |lam_i' - lam_i| / lam_i of the last step (0.0 when no
+    step was taken).
 
     Raises
     ------
@@ -170,7 +251,7 @@ def inverse_full(delta, *, tol=_FP_TOL, max_iter=_FP_MAX_ITER) -> FixedPointResu
         If p > 2 and fewer than two eigenvalues are nonzero.
     ConvergenceError
         After ``max_iter`` steps without convergence (carries the step
-        count and final residual).
+        count, the last step's relative change and the last iterate).
     """
     if np.size(delta) == 2:
         return FixedPointResult(inverse_p2(delta), 0, 0.0)
@@ -182,27 +263,57 @@ def inverse_full(delta, *, tol=_FP_TOL, max_iter=_FP_MAX_ITER) -> FixedPointResu
         raise RankDeficiencyError(
             "inversion requires at least two nonzero eigenvalues"
         )
-    d = delta[nz]
-    lam = d.copy()
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        lam_t = 2.0 * d / _integrate_all(lam)
-        lam_new = lam_t / lam_t.sum()
-        residual = float(np.max(np.abs(lam_new - lam)))
-        lam = lam_new
-        if residual <= tol:
-            out = np.zeros_like(delta)
-            out[nz] = lam
-            return FixedPointResult(out, it, residual)
     out = np.zeros_like(delta)
+    d = delta[nz]
+    if d.size == 2:
+        out[nz] = _squared_share(d)
+        return FixedPointResult(out, 0, 0.0)
+    # Start from lam proportional to d^(1 + 2/p): the exact inverse at p = 2,
+    # and exact to first order near the uniform spectrum, where
+    # delta - 1/p = p/(p + 2) (lam - 1/p).
+    lam = d ** (1.0 + 2.0 / d.size)
+    lam /= lam.sum()
+    change, steps = 0.0, 0
+    # Far from the solution a Newton trial can put an eigenvalue so low that
+    # its integrals or their Jacobian overflow; the trial is then rejected by
+    # the comparisons below, which a NaN or inf misfit never passes.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        state = _linearization(d, lam)
+        while steps < max_iter:
+            integrals, jac, misfit = state
+            worst = np.abs(misfit).max()
+            trial = _newton_trial(d, lam, integrals, jac, misfit)
+            # An overflow makes the sum of the trial inf, and so its entries
+            # NaN or zero: the trial is usable when it is positive.
+            if (trial > 0.0).all():
+                step = float((np.abs(trial - lam) / lam).max())
+                if step <= tol:
+                    lam, change, steps = trial, step, steps + 1
+                    break
+                trial_state = _linearization(d, trial)
+                if np.abs(trial_state[2]).max() < worst:
+                    lam, state, change, steps = trial, trial_state, step, steps + 1
+                    continue
+            if worst <= _MISFIT_FLOOR:
+                break
+            trial = 2.0 * d / integrals
+            trial /= trial.sum()
+            change = float((np.abs(trial - lam) / lam).max())
+            lam, steps = trial, steps + 1
+            if change <= tol:
+                break
+            state = _linearization(d, lam)
+        else:
+            out[nz] = lam
+            raise ConvergenceError(
+                f"eigenvalue-map inversion did not converge in {max_iter} iterations "
+                f"(relative change {change:.3e})",
+                iterations=max_iter,
+                residual=change,
+                last_iterate=out,
+            )
     out[nz] = lam
-    raise ConvergenceError(
-        f"fixed-point inversion did not converge in {max_iter} iterations "
-        f"(residual {residual:.3e})",
-        iterations=max_iter,
-        residual=residual,
-        last_iterate=out,
-    )
+    return FixedPointResult(out, steps, change)
 
 
 def inverse(delta, *, tol=_FP_TOL, max_iter=_FP_MAX_ITER) -> np.ndarray:

@@ -18,10 +18,11 @@ row's nearest data point is the minimizer, by the Vardi-Zhang condition
 (Vardi & Zhang 2000, PNAS 97): plain Weiszfeld reaches such a minimizer
 only sublinearly. Off the data points it then tries a Newton
 step on the sum of distances and keeps it only when it lowers that sum
-(Overton 1983, Math. Programming 27); this resolves in a few steps the
-minimizers just off a data point, where Weiszfeld crawls. Otherwise the
-row takes the Weiszfeld step, or the Vardi-Zhang step when it sits on a
-data point, which keeps it moving where Weiszfeld would stall.
+(Overton 1983, Math. Programming 27), and failing that the half Newton
+step; this resolves in a few steps the minimizers just off a data point,
+where Weiszfeld crawls. Otherwise the row takes the Weiszfeld step, or
+the Vardi-Zhang step when it sits on a data point, which keeps it moving
+where Weiszfeld would stall.
 """
 
 import numpy as np
@@ -129,9 +130,9 @@ def spatial_median(data, *, tol=1e-9, max_iter=10_000) -> np.ndarray:
 
     Starts from the coordinatewise median. Each step tests whether the
     nearest data point is optimal (the Vardi-Zhang certificate), then tries
-    a Newton step and keeps it when it lowers the objective; otherwise it
-    takes the Weiszfeld step, or the Vardi-Zhang step from a data point the
-    iterate sits on.
+    a Newton step and then the half Newton step, and keeps the first that
+    lowers the objective; otherwise it takes the Weiszfeld step, or the
+    Vardi-Zhang step from a data point the iterate sits on.
 
     The returned point satisfies the first-order condition: either the
     mean spatial sign of the residuals has norm <= ``tol``, or the point
@@ -199,6 +200,19 @@ def _newton_steps(s, w, r):
     return np.linalg.solve(hess, r[:, :, None])[:, :, 0], ok
 
 
+def _descent(d, dist, v, dist_t):
+    """Change of the objective sum(dist) (B,) for the moves ``v`` (B, p).
+
+    Summed term by term as (|v|^2 - 2 d.v) / (dist' + dist), without the
+    cancellation of sum(dist') - sum(dist), so that near convergence, where
+    the gain is below the rounding of either sum, it still has the right
+    sign. A move that overflows gives NaN, which no comparison accepts.
+    """
+    change = (v * v).sum(axis=1)[:, None] - 2.0 * np.einsum("bpn,bp->bn", d, v)
+    change /= dist_t + dist
+    return change.sum(axis=1)
+
+
 def _spatial_medians(z, k, *, tol=1e-9, max_iter=10_000):
     """Spatial medians (B, p) of the rows of the scaled stack ``z`` (B, p, n).
 
@@ -247,22 +261,23 @@ def _spatial_medians(z, k, *, tol=1e-9, max_iter=10_000):
         # eta the Vardi-Zhang step shortens it by the factor 1 - eta / |r|.
         weiszfeld = m + r * ((1.0 - eta / norm) / w.sum(axis=1))[:, None]
         # Off the data points try Newton first, and keep it only if it lowers
-        # the objective sum(dist). The change is summed term by term as
-        # (|v|^2 - 2 d.v) / (dist' + dist) for the move v, without the
-        # cancellation of sum(dist') - sum(dist), so that near convergence,
-        # where the gain is below the rounding of either sum, it still has the
-        # right sign. A step that overflows is rejected with the rest.
+        # the objective sum(dist) (``_descent``). A rejected step has mostly
+        # overshot along a valley towards a minimizer near a data point, so
+        # the half step is tried once before the Weiszfeld step.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             delta, newton = _newton_steps(s, w, r)
             newton &= eta == 0
             trial = np.where(newton[:, None], m + delta, weiszfeld)
             d_t, dist_t = _offsets(x, trial)
-            v = trial - m
-            change = (v * v).sum(axis=1)[:, None] - 2.0 * np.einsum("bpn,bp->bn", d, v)
-            change /= dist_t + dist
-            back = newton & ~(change.sum(axis=1) < 0.0)
-        if back.any():
-            trial[back] = weiszfeld[back]
+            back = np.flatnonzero(newton & ~(_descent(d, dist, trial - m, dist_t) < 0.0))
+            if back.size:
+                half = m[back] + 0.5 * delta[back]
+                d_h, dist_h = _offsets(x[back], half)
+                kept = _descent(d[back], dist[back], half - m[back], dist_h) < 0.0
+                trial[back] = np.where(kept[:, None], half, weiszfeld[back])
+                d_t[back], dist_t[back] = d_h, dist_h
+                back = back[~kept]
+        if back.size:
             d_t[back], dist_t[back] = _offsets(x[back], weiszfeld[back])
         m, d, dist = trial, d_t, dist_t
     errors = {}

@@ -84,6 +84,21 @@ def test_c02_round_trip_inversion(round_trip_bank):
     )
 
 
+def test_c02_relative_accuracy_in_few_steps(round_trip_bank):
+    # Newton steps converge quadratically; a silent fall back to the linear
+    # fixed point would take 15-33 steps and leave errors near 1e-10.
+    worst_gap, worst_iters = 0.0, 0
+    for lam, _, result in round_trip_bank:
+        worst_gap = max(worst_gap, float(np.max(np.abs(result.spectrum - lam) / lam)))
+        worst_iters = max(worst_iters, result.iterations)
+    assert worst_gap <= 1e-12
+    assert worst_iters <= 12
+    print(
+        f"\nCRITERION 2 (relative) PASS: round trip worst {worst_gap:.2e} <= 1e-12, "
+        f"max iterations {worst_iters} <= 12"
+    )
+
+
 def test_c03_ratio_inequality(round_trip_bank):
     worst = np.inf
     for lam, delta, _ in round_trip_bank:

@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import elliprd
 
@@ -204,6 +206,13 @@ class TestInverse:
         assert out[2] == 0.0
         assert np.max(np.abs(out[:2] - [0.6, 0.4])) <= 1e-8
 
+    def test_two_nonzero_entries_in_closed_form(self):
+        delta = em.forward([0.6, 0.4, 0.0])
+        result = em.inverse_full(delta)
+        assert result.iterations == 0
+        assert result.spectrum[2] == 0.0
+        assert np.max(np.abs(result.spectrum[:2] - em.inverse_p2(delta[:2]))) <= 1e-15
+
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficiencyError):
             em.inverse([1.0, 0.0, 0.0])
@@ -215,6 +224,43 @@ class TestInverse:
         assert err.iterations == 1
         assert err.residual > 0
         assert err.last_iterate is not None
+
+
+def relative_gap(out, lam):
+    return float(np.max(np.abs(out - lam) / lam))
+
+
+class TestInverseRelativeAccuracy:
+    # Small eigenvalues are recovered to a relative, not only an absolute,
+    # accuracy: a step that fell back to linear convergence would stop with
+    # the small entries still far off in relative terms.
+
+    @pytest.mark.parametrize("lam", [
+        [1.0 - 2e-6, 1e-6, 1e-6],
+        [0.6, 0.4 - 1e-10, 1e-10],
+        0.15 ** np.arange(12) / np.sum(0.15 ** np.arange(12)),
+    ], ids=["two-tiny", "one-1e-10", "geometric-p12"])
+    def test_round_trip_of_small_eigenvalues(self, lam):
+        lam = em.as_spectrum(lam)
+        assert relative_gap(em.inverse(em.forward(lam)), lam) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-6.9, 0.0), min_size=3, max_size=12))
+    def test_round_trip_property(self, exponents):
+        # 10**exponents / sum: every entry is at least 10**-6.9 / 12 > 1e-8
+        w = 10.0 ** np.array(exponents)
+        lam = em.as_spectrum(w / w.sum())
+        result = em.inverse_full(em.forward(lam))
+        assert relative_gap(result.spectrum, lam) <= 1e-11
+        assert result.iterations <= 20
+
+    def test_stops_at_the_rounding_floor(self):
+        # tol=0 asks for more than float64 can give; the misfit stops
+        # falling instead, and the inverse still returns.
+        lam = em.as_spectrum([0.5, 0.3, 0.2])
+        result = em.inverse_full(em.forward(lam), tol=0.0)
+        assert relative_gap(result.spectrum, lam) <= 1e-14
+        assert result.iterations <= 20
 
 
 def test_equidistant_high_dimension_regime():

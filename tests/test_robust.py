@@ -151,6 +151,14 @@ class TestSpatialMedian:
         rho = sc.sscor_two_stage(x).rho
         assert abs(sc.multivariate_matrix(x).matrix[0, 1] - rho) <= 1e-15
 
+    def test_minimizer_near_a_data_point_along_a_valley(self):
+        # The minimizer lies about 0.005 from the data point (2, 1, 1), reached
+        # along a valley where the full Newton step overshoots past the point
+        # at every step; Weiszfeld steps alone need about 500 iterations, with
+        # the half Newton step tried first it takes 10.
+        x = np.array([[-2.0, -3.0, -2.0], [3.0, 2.0, 2.0], [2.0, 1.0, 1.0], [-2.0, -1.0, -2.0]])
+        assert _first_order_ok(x, spatial_median(x, max_iter=50))
+
     @settings(max_examples=300, deadline=None)
     @given(arrays(np.float64, st.tuples(st.integers(3, 8), st.integers(2, 3)),
                   elements=st.integers(-3, 3)))

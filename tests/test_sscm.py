@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signcorr.eigenmap import forward_p2
 from signcorr.exceptions import InvalidInputError
@@ -64,6 +66,21 @@ def test_orthogonal_equivariance():
     lhs = sscm(x @ q.T, q @ t).matrix
     rhs = q @ sscm(x, t).matrix @ q.T
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), p=st.integers(2, 6),
+       center_on_a_point=st.booleans(), scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e4, 1e150]))
+def test_orthogonal_equivariance_property(seed, n, p, center_on_a_point, scale):
+    # Heavy-tailed data at extreme scales, centered off the data or on an
+    # observation, whose sign is zero before and after the rotation.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_t(2, size=(n, p)) * scale
+    c = x[rng.integers(n)] if center_on_a_point else rng.normal(size=p) * scale
+    q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    lhs = sscm(x @ q.T, q @ c).matrix
+    rhs = q @ sscm(x, c).matrix @ q.T
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_scale_invariance_exact_for_binary_scalings():
