@@ -8,7 +8,8 @@ correlation estimators built on it, elliptical samplers and a reproducible
 Monte Carlo harness.
 """
 
-from . import cli, correlation, eigenmap, elliptical, linalg, robust, simulation
+# ``cli`` (argparse, json, csv) loads on first use, as ``from signcorr import cli``.
+from . import correlation, eigenmap, elliptical, linalg, robust, simulation
 from .correlation import (
     ConfidenceInterval,
     CorrelationEstimate,

@@ -22,11 +22,7 @@ import numpy as np
 from . import correlation, eigenmap, simulation
 from .exceptions import InvalidInputError, SignCorrError
 from .linalg import sym_eigen
-from .simulation import _fmt
-
-
-class _InputError(Exception):
-    """Input/usage problem detected after argument parsing (exit 2)."""
+from .simulation import csv_row
 
 
 def _read_data_csv(path):
@@ -36,9 +32,9 @@ def _read_data_csv(path):
     line number.
     """
     if not os.path.exists(path):
-        raise _InputError(f"input file not found: {path}")
+        raise InvalidInputError(f"input file not found: {path}")
     if not os.access(path, os.R_OK):
-        raise _InputError(f"input file not readable: {path}")
+        raise InvalidInputError(f"input file not readable: {path}")
     rows, width = [], None
     with open(path, newline="") as fh:
         for lineno, record in enumerate(csv.reader(fh), start=1):
@@ -52,15 +48,15 @@ def _read_data_csv(path):
                 except ValueError:
                     continue  # header row
             if len(record) != width:
-                raise _InputError(
+                raise InvalidInputError(
                     f"line {lineno}: expected {width} fields, got {len(record)}"
                 )
             try:
                 rows.append([float(f) for f in record])
             except ValueError as exc:
-                raise _InputError(f"line {lineno}: {exc}") from exc
+                raise InvalidInputError(f"line {lineno}: {exc}") from exc
     if not rows:
-        raise _InputError(f"no data rows in {path}")
+        raise InvalidInputError(f"no data rows in {path}")
     return np.array(rows, dtype=float)
 
 
@@ -69,7 +65,7 @@ def _check_writable(path):
         return
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
-        raise _InputError(f"output location not writable: {path}")
+        raise InvalidInputError(f"output location not writable: {path}")
 
 
 def _emit(text: str, path):
@@ -80,21 +76,17 @@ def _emit(text: str, path):
             fh.write(text)
 
 
-def _matrix_csv_rows(m) -> str:
-    return "\n".join(",".join(_fmt(v) for v in row) for row in m) + "\n"
-
-
 def _estimate_report(args, payload) -> str:
     if args.format == "json":
         return json.dumps(payload, indent=2) + "\n"
-    parts = ["# correlation\n", _matrix_csv_rows(payload["correlation"])]
+    parts = ["# correlation\n", *map(csv_row, payload["correlation"])]
     if "shape" in payload:
-        parts += ["# shape\n", _matrix_csv_rows(payload["shape"])]
+        parts += ["# shape\n", *map(csv_row, payload["shape"])]
     if "lambdas" in payload:
-        parts += ["# lambdas\n", ",".join(_fmt(v) for v in payload["lambdas"]) + "\n"]
+        parts += ["# lambdas\n", csv_row(payload["lambdas"])]
     if "ci" in payload:
         ci = payload["ci"]
-        parts += ["# ci\n", f"{_fmt(ci['lower'])},{_fmt(ci['upper'])},{_fmt(ci['level'])}\n"]
+        parts += ["# ci\n", csv_row((ci["lower"], ci["upper"], ci["level"]))]
     return "".join(parts)
 
 
@@ -105,9 +97,9 @@ def cmd_estimate(args) -> int:
     method = args.method
     if args.ci is not None:
         if method != "two-stage":
-            raise _InputError("--ci is only available for the two-stage method")
+            raise InvalidInputError("--ci is only available for the two-stage method")
         if not (0.0 < args.ci < 1.0):
-            raise _InputError(f"--ci level must lie in (0, 1), got {args.ci}")
+            raise InvalidInputError(f"--ci level must lie in (0, 1), got {args.ci}")
 
     payload = {"method": method.replace("-", "_"), "p": int(p), "n": int(n)}
     est = correlation.ESTIMATORS[method](data)
@@ -129,16 +121,16 @@ def _parse_spectrum(text: str) -> np.ndarray:
     try:
         values = np.array([float(f) for f in text.split(",")], dtype=float)
     except ValueError as exc:
-        raise _InputError(f"invalid spectrum: {exc}") from exc
+        raise InvalidInputError(f"invalid spectrum: {exc}") from exc
     if values.size < 2:
-        raise _InputError("spectrum needs at least 2 values")
+        raise InvalidInputError("spectrum needs at least 2 values")
     if not np.all(np.isfinite(values)):
-        raise _InputError("spectrum values must be finite")
+        raise InvalidInputError("spectrum values must be finite")
     if np.any(values < 0.0):
-        raise _InputError("spectrum values must be nonnegative")
+        raise InvalidInputError("spectrum values must be nonnegative")
     total = values.sum()
     if total <= 0.0:
-        raise _InputError("spectrum must have a positive sum")
+        raise InvalidInputError("spectrum must have a positive sum")
     if abs(total - 1.0) > 1e-9:
         print(
             f"warning: spectrum sums to {total:.17g}; normalizing",
@@ -151,18 +143,18 @@ def _parse_spectrum(text: str) -> np.ndarray:
 def cmd_eigenmap(args) -> int:
     if args.direction == "forward":
         if args.lambdas is None:
-            raise _InputError("eigenmap forward requires --lambdas")
+            raise InvalidInputError("eigenmap forward requires --lambdas")
         out = eigenmap.forward(_parse_spectrum(args.lambdas))
     else:
         if args.deltas is None:
-            raise _InputError("eigenmap inverse requires --deltas")
+            raise InvalidInputError("eigenmap inverse requires --deltas")
         result = eigenmap.inverse_full(_parse_spectrum(args.deltas))
         print(
             f"iterations={result.iterations} residual={result.residual:.3e}",
             file=sys.stderr,
         )
         out = result.spectrum
-    print(",".join(_fmt(v) for v in out))
+    sys.stdout.write(csv_row(out))
     return 0
 
 
@@ -170,7 +162,7 @@ def cmd_simulate(args) -> int:
     cfg = simulation.ExperimentConfig(
         family=args.dist, p=args.p, n=args.n, reps=args.reps, seed=args.seed
     )
-    result = simulation.run_experiment(cfg, threads=args.threads)
+    result = simulation.run_experiment(cfg)
     sys.stdout.write(simulation.result_to_csv(result))
     return 0
 
@@ -210,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, required=True)
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--threads", type=int, default=1,
-                     help="worker threads (default: 1)")
+                     help="accepted for compatibility; replications run in the "
+                          "calling thread")
     sim.set_defaults(func=cmd_simulate)
 
     fig = sub.add_parser("figure", help="eigenvalue scenario table (CSV to stdout)")
@@ -228,7 +221,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (_InputError, InvalidInputError) as exc:
+    except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SignCorrError as exc:

@@ -150,7 +150,7 @@ def _shape_fits(z):
         for b in range(len(delta)):
             if b not in errors:
                 try:
-                    lam[b] = eigenmap.inverse(eigenmap.as_spectrum(delta[b], kind="sign"))
+                    lam[b] = eigenmap.inverse(eigenmap._canonical(delta[b]))
                 except SignCorrError as exc:
                     errors[b] = exc
     return (u * lam[:, None, :]) @ u.swapaxes(1, 2), errors
@@ -263,10 +263,12 @@ def multivariate_matrix(data) -> CorrelationMatrixEstimate:
     The shape matrix is rebuilt as in the two-stage estimator and rescaled
     to unit diagonal, so at p=2 this is the two-stage estimate up to
     rounding. The result is positive semi-definite by construction; the
-    rebuilt shape matrix is kept in ``shape_estimate``.
+    rebuilt shape matrix, made exactly symmetric as (V + V^T) / 2, is kept
+    in ``shape_estimate``.
     """
     x = _validated(data)
     v = _shape_fit(_standardized(x))
+    v = (v + v.T) / 2.0
     try:
         r = to_correlation(v)
     except DegenerateScaleError as exc:

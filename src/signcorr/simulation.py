@@ -3,13 +3,11 @@
 An experiment draws spherical data repeatedly, applies the requested
 correlation estimators and reports n times the empirical variance of one
 off-diagonal entry. Each replication gets its own RNG stream derived from
-(seed, replication index), so the result is byte-identical regardless of
-how many workers run it.
+(seed, replication index), so the result is byte-identical from run to
+run. Replications run one after another in the calling thread.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from io import StringIO
 
 import numpy as np
 
@@ -94,16 +92,12 @@ def run_experiment(cfg: ExperimentConfig, *, threads: int = 1) -> ExperimentResu
     The standard error of the scaled variance comes from the empirical
     fourth moment of the replication values. Failed replications are
     counted, never silently dropped; an estimator with fewer than two
-    successes fails the experiment.
+    successes fails the experiment. ``threads`` is accepted for
+    compatibility; replications run in the calling thread.
     """
     family, df = FAMILY_TAGS[cfg.family]
     model = spherical_model(family, cfg.p, df)
-    indices = range(cfg.reps)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda r: _replicate(cfg, model, r), indices))
-    else:
-        records = [_replicate(cfg, model, r) for r in indices]
+    records = [_replicate(cfg, model, r) for r in range(cfg.reps)]
 
     stats = []
     for name in cfg.estimators:
@@ -167,28 +161,25 @@ def figure_table(kind: str, p: int) -> list:
     ]
 
 
-def _fmt(x) -> str:
-    return format(x, ".17g") if isinstance(x, float) else str(x)
+def csv_row(values) -> str:
+    """One CSV line: floats in 17 significant digits, which round-trip, the rest as str."""
+    return ",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in values) + "\n"
 
 
 def result_to_csv(result: ExperimentResult) -> str:
     """Experiment result as CSV, one row per estimator, 17-digit floats."""
     cfg = result.config
-    buf = StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
-    for s in result.stats:
-        row = (cfg.family, cfg.p, cfg.n, s.estimator,
-               s.scaled_variance, s.mc_stderr, cfg.reps, s.reps_failed)
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    return buf.getvalue()
+    return csv_row(CSV_COLUMNS) + "".join(
+        csv_row((cfg.family, cfg.p, cfg.n, s.estimator,
+                 s.scaled_variance, s.mc_stderr, cfg.reps, s.reps_failed))
+        for s in result.stats
+    )
 
 
 def figure_to_csv(rows) -> str:
-    buf = StringIO()
-    buf.write("index,lambda,delta\n")
-    for idx, lam, delta in rows:
-        buf.write(f"{idx},{_fmt(float(lam))},{_fmt(float(delta))}\n")
-    return buf.getvalue()
+    return csv_row(("index", "lambda", "delta")) + "".join(
+        csv_row((idx, float(lam), float(delta))) for idx, lam, delta in rows
+    )
 
 
 def format_table(result: ExperimentResult) -> str:

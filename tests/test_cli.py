@@ -191,10 +191,29 @@ class TestUsageErrors:
         assert main(["estimate", "--method", "tyler", "--input", path]) == 2
 
 
-def test_python_dash_m_runs_the_cli():
+def python(*args):
+    """Run a fresh interpreter that imports this checkout's ``signcorr``."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "signcorr", "--help"], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = python("-m", "signcorr", "--help")
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: signcorr ")
+
+
+def test_python_dash_m_cli_module_runs_without_warning():
+    # runpy warns when the package has imported the module it is asked to run
+    proc = python("-m", "signcorr.cli", "--help")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_import_leaves_the_cli_and_thread_pool_unloaded():
+    proc = python("-c", "import sys, signcorr; print(sorted(m for m in "
+                  "('concurrent.futures', 'argparse', 'signcorr.cli') if m in sys.modules))")
+    assert proc.returncode == 0
+    assert proc.stdout == "[]\n"

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 import signcorr as sc
+from signcorr import eigenmap, linalg, robust
 from signcorr import elliptical as el
 from signcorr.correlation import CorrelationEstimate
 from signcorr.exceptions import (
@@ -411,6 +412,14 @@ class TestMultivariateMatrix:
             assert np.linalg.eigvalsh(r.matrix).min() >= -1e-10
             assert np.max(np.abs(r.matrix)) <= 1.0
 
+    def test_shape_estimate_is_exactly_symmetric(self):
+        for p in (3, 5, 10, 20, 50):
+            for r in range(4):
+                x = el.sample(el.spherical_model("t", p, 5.0), 100, el.replication_rng(15, r))
+                est = sc.multivariate_matrix(x)
+                assert np.array_equal(est.shape_estimate, est.shape_estimate.T), (p, r)
+                assert np.array_equal(est.matrix, linalg.to_correlation(est.shape_estimate))
+
 
 class TestMomentMatrix:
     def test_perfect_linear(self):
@@ -443,3 +452,48 @@ class TestMomentMatrix:
     def test_constant_column_rejected(self):
         with pytest.raises(DegenerateScaleError, match="column 1"):
             sc.moment_matrix(np.column_stack([np.arange(4.0), np.full(4, 2.0)]))
+
+
+class TestPublicCallChain:
+    # The estimators equal, bitwise, the same pipeline written as a chain of
+    # public calls, one sample and one pair at a time: per-column MAD,
+    # spatial median, SSCM, eigendecomposition, inversion of the eigenvalue
+    # map, rescaling. A change to one stage of the batched kernel alone
+    # (its rescaling, say) breaks this equality.
+
+    @staticmethod
+    def shape_parts(x):
+        z = x / np.array([robust.mad(x[:, j]) for j in range(x.shape[1])])
+        est = sc.sscm(z, robust.spatial_median(z))
+        w, u = linalg.sym_eigen(est.matrix)
+        w = np.maximum(w, 0.0)
+        return eigenmap.as_spectrum(w / w.sum(), kind="sign"), u
+
+    def pairwise(self, x):
+        p = x.shape[1]
+        r = np.eye(p)
+        for i in range(p):
+            for j in range(i + 1, p):
+                delta, u = self.shape_parts(x[:, [i, j]])
+                v = (u * eigenmap.inverse_p2(delta)) @ u.T
+                r[i, j] = r[j, i] = np.clip(v[0, 1] / np.sqrt(v[0, 0] * v[1, 1]), -1.0, 1.0)
+        return r
+
+    def multivariate(self, x):
+        delta, u = self.shape_parts(x)
+        v = (u * eigenmap.inverse_full(delta).spectrum) @ u.T
+        return linalg.to_correlation(v)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 10])
+    @pytest.mark.parametrize("family,df", [("normal", None), ("t", 5.0), ("laplace", None)])
+    def test_estimators_equal_the_chain(self, family, df, p):
+        model = el.spherical_model(family, p, df)
+        for r in range(3):
+            x = el.sample(model, 100, el.replication_rng(16, r))
+            assert np.array_equal(sc.pairwise_matrix(x).matrix, self.pairwise(x)), r
+            assert np.array_equal(sc.multivariate_matrix(x).matrix, self.multivariate(x)), r
+
+    def test_wide_sample_equals_the_chain(self):
+        x = el.sample(el.spherical_model("t", 50, 5.0), 200, el.make_rng(17))
+        assert np.array_equal(sc.pairwise_matrix(x).matrix, self.pairwise(x))
+        assert np.array_equal(sc.multivariate_matrix(x).matrix, self.multivariate(x))

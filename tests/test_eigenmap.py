@@ -167,6 +167,26 @@ class TestForward:
             delta = em.forward(lam)
             assert np.all(np.diff(delta) <= 1e-15)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-6.0, 0.0), min_size=3, max_size=12))
+    def test_ratio_lower_bound_property(self, exponents):
+        # the map contracts ratios at most to their square root:
+        # sqrt(lam_i / lam_j) <= delta_i / delta_j for lam_i >= lam_j
+        w = 10.0 ** np.array(exponents)
+        lam = em.as_spectrum(w / w.sum())
+        delta = em.forward(lam)
+        i, j = np.triu_indices(lam.size, k=1)
+        assert np.min(delta[i] / delta[j] - np.sqrt(lam[i] / lam[j])) >= -1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-6.0, 0.0), min_size=3, max_size=12))
+    def test_majorization_property(self, exponents):
+        # lam majorizes delta: no partial sum of the largest sign eigenvalues
+        # exceeds the same partial sum of shape eigenvalues
+        w = 10.0 ** np.array(exponents)
+        lam = em.as_spectrum(w / w.sum())
+        assert np.min(np.cumsum(lam) - np.cumsum(em.forward(lam))) >= -1e-12
+
 
 class TestInverse:
     def test_uniform_fixed_point(self):
