@@ -71,9 +71,9 @@ def asv_sscor(rho: float, a: float) -> float:
     ``a == 1`` and grows without bound as ``a`` tends to 0 or infinity.
     """
     if not np.isfinite(rho) or abs(rho) > 1.0:
-        raise InvalidInputError(f"rho must lie in [-1, 1], got {rho!r}")
+        raise InvalidInputError(f"rho must lie in [-1, 1], got {float(rho)}")
     if not np.isfinite(a) or a <= 0.0:
-        raise InvalidInputError(f"scale ratio must be positive, got {a!r}")
+        raise InvalidInputError(f"scale ratio must be positive, got {float(a)}")
     t = 1.0 - rho * rho
     return t * t + 0.5 * (a + 1.0 / a) * t**1.5
 
@@ -213,7 +213,7 @@ def confidence_interval(est: CorrelationEstimate, level: float) -> ConfidenceInt
             f"confidence intervals require the two-stage estimator, got {est.method!r}"
         )
     if not (0.0 < level < 1.0):
-        raise InvalidInputError(f"level must lie in (0, 1), got {level!r}")
+        raise InvalidInputError(f"level must lie in (0, 1), got {float(level)}")
     if est.n < 3:
         raise InvalidInputError("need at least 3 observations")
     z = NormalDist().inv_cdf((1.0 + level) / 2.0)

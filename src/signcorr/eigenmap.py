@@ -35,15 +35,15 @@ from .exceptions import (
 # itself. Newton converges quadratically, so after a Newton step that small
 # the iterate is accurate to roundoff; a run of fixed-point fallback steps
 # converges linearly, and stops a small multiple of _FP_TOL from the
-# solution. _FP_MAX_ITER bounds the steps; random spectra of p = 3..12
-# with entries down to 1e-8 take at most 8. The relative misfit of an exact
+# solution. _FP_MAX_ITER is over ten times the most steps a fuzz needed (10,
+# at p up to 30, ratios down to 1e-14, ties). The relative misfit of an exact
 # inverse is rounding noise of a few ulps, far below _MISFIT_FLOOR: a
 # misfit below that floor which a Newton step no longer lowers has
 # converged.
 _SUM_TOL = 1e-9
 _NEG_TOL = 1e-12
 _FP_TOL = 1e-11
-_FP_MAX_ITER = 500
+_FP_MAX_ITER = 120
 _MISFIT_FLOOR = 256 * np.finfo(float).eps
 
 # 32-point Gauss-Legendre rule on [-1, 1], applied on every panel.
@@ -70,7 +70,7 @@ def as_spectrum(values, *, kind="shape") -> np.ndarray:
         raise InvalidInputError(f"{kind} spectrum entries must be nonnegative")
     s = np.where(v <= _NEG_TOL, 0.0, v).sum()
     if abs(s - 1.0) > _SUM_TOL:
-        raise InvalidInputError(f"{kind} spectrum must sum to 1, got {s!r}")
+        raise InvalidInputError(f"{kind} spectrum must sum to 1, got {float(s)}")
     return _canonical(v)
 
 
@@ -172,10 +172,7 @@ def forward(lam) -> np.ndarray:
     if lam.size < 2:
         raise InvalidInputError("forward requires dimension >= 2")
     nz = lam > 0.0
-    k = int(nz.sum())
-    if k == 0:
-        raise RankDeficiencyError("spectrum has no nonzero eigenvalues")
-    if k == 1:
+    if nz.sum() == 1:
         # Rank-one limit: all mass stays on the leading direction.
         out = np.zeros_like(lam)
         out[0] = 1.0
@@ -225,20 +222,20 @@ def _newton_trial(d, lam, integrals, jac, misfit):
     return trial / trial.sum()
 
 
-def inverse_full(delta, *, tol=_FP_TOL, max_iter=_FP_MAX_ITER) -> FixedPointResult:
+def inverse_full(delta) -> FixedPointResult:
     """Invert the eigenvalue map, with diagnostics.
 
-    Two eigenvalues are inverted in closed form by ``inverse_p2`` (zero
-    iterations, zero residual; a rank-one spectrum maps to itself), and so
-    is a larger spectrum with exactly two nonzero entries: the zeros stay
-    zero. Otherwise, starting from lam proportional to delta^(1 + 2/p),
+    At most two nonzero entries are inverted in closed form, lam_i
+    proportional to delta_i**2 as in ``inverse_p2`` (zero iterations and
+    residual): zeros stay zero, and at p = 2 a rank-one spectrum maps to
+    itself. Otherwise, starting from lam proportional to delta^(1 + 2/p),
     each step is a Newton step on log(lam), kept when it lowers the largest
     relative misfit max_i |delta_i - d_i(lam)| / delta_i; when it does not,
     the step is the fixed-point step that divides twice the target sign
     eigenvalue by the current component integral and renormalizes to sum
     one. The iteration stops when a step changes no eigenvalue by more than
-    ``tol`` relative to itself, or when the misfit has stopped falling at
-    its rounding floor.
+    ``_FP_TOL`` (1e-11) relative to itself, or when the misfit has stopped
+    falling at its rounding floor.
 
     ``iterations`` counts the steps taken (Newton or fixed-point; a
     rejected Newton trial is not a step), and ``residual`` is the relative
@@ -250,24 +247,21 @@ def inverse_full(delta, *, tol=_FP_TOL, max_iter=_FP_MAX_ITER) -> FixedPointResu
     RankDeficiencyError
         If p > 2 and fewer than two eigenvalues are nonzero.
     ConvergenceError
-        After ``max_iter`` steps without convergence (carries the step
-        count, the last step's relative change and the last iterate).
+        After ``_FP_MAX_ITER`` (120) steps, where the spectra of a fuzz took
+        at most 10 (carries the step count, the last step's relative change
+        and the last iterate).
     """
-    if np.size(delta) == 2:
-        return FixedPointResult(inverse_p2(delta), 0, 0.0)
     delta = as_spectrum(delta, kind="sign")
     if delta.size < 2:
         raise InvalidInputError("inverse requires dimension >= 2")
     nz = delta > 0.0
-    if int(nz.sum()) < 2:
-        raise RankDeficiencyError(
-            "inversion requires at least two nonzero eigenvalues"
-        )
+    k = int(nz.sum())
+    if k < 2 < delta.size:
+        raise RankDeficiencyError("inversion requires at least two nonzero eigenvalues")
+    if k <= 2:
+        return FixedPointResult(_squared_share(delta), 0, 0.0)
     out = np.zeros_like(delta)
     d = delta[nz]
-    if d.size == 2:
-        out[nz] = _squared_share(d)
-        return FixedPointResult(out, 0, 0.0)
     # Start from lam proportional to d^(1 + 2/p): the exact inverse at p = 2,
     # and exact to first order near the uniform spectrum, where
     # delta - 1/p = p/(p + 2) (lam - 1/p).
@@ -279,7 +273,7 @@ def inverse_full(delta, *, tol=_FP_TOL, max_iter=_FP_MAX_ITER) -> FixedPointResu
     # the comparisons below, which a NaN or inf misfit never passes.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state = _linearization(d, lam)
-        while steps < max_iter:
+        while steps < _FP_MAX_ITER:
             integrals, jac, misfit = state
             worst = np.abs(misfit).max()
             trial = _newton_trial(d, lam, integrals, jac, misfit)
@@ -287,7 +281,7 @@ def inverse_full(delta, *, tol=_FP_TOL, max_iter=_FP_MAX_ITER) -> FixedPointResu
             # NaN or zero: the trial is usable when it is positive.
             if (trial > 0.0).all():
                 step = float((np.abs(trial - lam) / lam).max())
-                if step <= tol:
+                if step <= _FP_TOL:
                     lam, change, steps = trial, step, steps + 1
                     break
                 trial_state = _linearization(d, trial)
@@ -300,15 +294,15 @@ def inverse_full(delta, *, tol=_FP_TOL, max_iter=_FP_MAX_ITER) -> FixedPointResu
             trial /= trial.sum()
             change = float((np.abs(trial - lam) / lam).max())
             lam, steps = trial, steps + 1
-            if change <= tol:
+            if change <= _FP_TOL:
                 break
             state = _linearization(d, lam)
         else:
             out[nz] = lam
             raise ConvergenceError(
-                f"eigenvalue-map inversion did not converge in {max_iter} iterations "
+                f"eigenvalue-map inversion did not converge in {_FP_MAX_ITER} iterations "
                 f"(relative change {change:.3e})",
-                iterations=max_iter,
+                iterations=_FP_MAX_ITER,
                 residual=change,
                 last_iterate=out,
             )
@@ -316,6 +310,7 @@ def inverse_full(delta, *, tol=_FP_TOL, max_iter=_FP_MAX_ITER) -> FixedPointResu
     return FixedPointResult(out, steps, change)
 
 
-def inverse(delta, *, tol=_FP_TOL, max_iter=_FP_MAX_ITER) -> np.ndarray:
-    """Shape spectrum whose forward image is ``delta`` (see ``inverse_full``)."""
-    return inverse_full(delta, tol=tol, max_iter=max_iter).spectrum
+def inverse(delta) -> np.ndarray:
+    """Shape spectrum whose forward image is ``delta`` (see ``inverse_full``:
+    at most 10 steps in its fuzz, a ``ConvergenceError`` after 120)."""
+    return inverse_full(delta).spectrum

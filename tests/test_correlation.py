@@ -70,6 +70,12 @@ class TestAsv:
         with pytest.raises(InvalidInputError):
             sc.asv_sscor(0.0, -2.0)
 
+    def test_errors_name_plain_floats(self):
+        with pytest.raises(InvalidInputError, match=r"got 1\.5$"):
+            sc.asv_sscor(np.float64(1.5), 1.0)
+        with pytest.raises(InvalidInputError, match=r"got -2\.0$"):
+            sc.asv_sscor(0.0, np.float64(-2.0))
+
 
 class TestSscor:
     def test_symmetric_cross_is_zero(self):
@@ -183,6 +189,11 @@ class TestConfidenceInterval:
         est = CorrelationEstimate(rho=0.0, method="two_stage", n=100)
         with pytest.raises(InvalidInputError):
             sc.confidence_interval(est, 1.5)
+
+    def test_level_error_names_a_plain_float(self):
+        est = CorrelationEstimate(rho=0.0, method="two_stage", n=100)
+        with pytest.raises(InvalidInputError, match=r"got 1\.5$"):
+            sc.confidence_interval(est, np.float64(1.5))
 
 
 class TestPairwiseMatrix:

@@ -35,6 +35,10 @@ class TestSpectrumConstruction:
         with pytest.raises(InvalidInputError):
             em.as_spectrum([0.6, 0.5])
 
+    def test_sum_error_names_a_plain_float(self):
+        with pytest.raises(InvalidInputError, match=r"must sum to 1, got 1\.1$"):
+            em.forward([0.5, 0.6])
+
     def test_rejects_negative(self):
         with pytest.raises(InvalidInputError):
             em.as_spectrum([1.1, -0.1])
@@ -237,9 +241,15 @@ class TestInverse:
         with pytest.raises(RankDeficiencyError):
             em.inverse([1.0, 0.0, 0.0])
 
-    def test_nonconvergence_error_payload(self):
+    def test_rank_one_p2_maps_to_itself(self):
+        result = em.inverse_full([1.0, 0.0])
+        assert np.array_equal(result.spectrum, [1.0, 0.0])
+        assert (result.iterations, result.residual) == (0, 0.0)
+
+    def test_nonconvergence_error_payload(self, monkeypatch):
+        monkeypatch.setattr(em, "_FP_MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as exc_info:
-            em.inverse([0.7, 0.2, 0.1], max_iter=1)
+            em.inverse([0.7, 0.2, 0.1])
         err = exc_info.value
         assert err.iterations == 1
         assert err.residual > 0
@@ -274,11 +284,12 @@ class TestInverseRelativeAccuracy:
         assert relative_gap(result.spectrum, lam) <= 1e-11
         assert result.iterations <= 20
 
-    def test_stops_at_the_rounding_floor(self):
-        # tol=0 asks for more than float64 can give; the misfit stops
-        # falling instead, and the inverse still returns.
+    def test_stops_at_the_rounding_floor(self, monkeypatch):
+        # A zero tolerance asks for more than float64 can give; the misfit
+        # stops falling instead, and the inverse still returns.
+        monkeypatch.setattr(em, "_FP_TOL", 0.0)
         lam = em.as_spectrum([0.5, 0.3, 0.2])
-        result = em.inverse_full(em.forward(lam), tol=0.0)
+        result = em.inverse_full(em.forward(lam))
         assert relative_gap(result.spectrum, lam) <= 1e-14
         assert result.iterations <= 20
 

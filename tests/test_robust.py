@@ -1,3 +1,4 @@
+import time
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 import signcorr as sc
 from signcorr import elliptical as el
+from signcorr import robust
 
 from signcorr.exceptions import (
     ConvergenceError,
@@ -141,23 +143,25 @@ class TestSpatialMedian:
         ("laplace", None, 14323281278118823144, 27),
         ("t", 5.0, 1776680473139111193, 12),
     ])
-    def test_minimizer_next_to_a_data_point(self, family, df, seed, rep):
+    def test_minimizer_next_to_a_data_point(self, family, df, seed, rep, monkeypatch):
         # After MAD standardization the minimizer lies a few 1e-6 from a data
         # point whose sign sum just exceeds its multiplicity; plain Weiszfeld
         # needs more than 10000 steps there, safeguarded Newton a dozen.
         x = el.sample(el.spherical_model(family, 2, df), 100, el.replication_rng(seed, rep))
         z = x / np.array([mad(x[:, 0]), mad(x[:, 1])])
-        assert _first_order_ok(z, spatial_median(z, max_iter=50))
+        monkeypatch.setattr(robust, "_MEDIAN_MAX_STEPS", 50)
+        assert _first_order_ok(z, spatial_median(z))
         rho = sc.sscor_two_stage(x).rho
         assert abs(sc.multivariate_matrix(x).matrix[0, 1] - rho) <= 1e-15
 
-    def test_minimizer_near_a_data_point_along_a_valley(self):
+    def test_minimizer_near_a_data_point_along_a_valley(self, monkeypatch):
         # The minimizer lies about 0.005 from the data point (2, 1, 1), reached
         # along a valley where the full Newton step overshoots past the point
         # at every step; Weiszfeld steps alone need about 500 iterations, with
         # the half Newton step tried first it takes 10.
         x = np.array([[-2.0, -3.0, -2.0], [3.0, 2.0, 2.0], [2.0, 1.0, 1.0], [-2.0, -1.0, -2.0]])
-        assert _first_order_ok(x, spatial_median(x, max_iter=50))
+        monkeypatch.setattr(robust, "_MEDIAN_MAX_STEPS", 50)
+        assert _first_order_ok(x, spatial_median(x))
 
     @settings(max_examples=300, deadline=None)
     @given(arrays(np.float64, st.tuples(st.integers(3, 8), st.integers(2, 3)),
@@ -184,15 +188,43 @@ class TestSpatialMedian:
         assert np.all(np.isfinite(mu))
         assert np.array_equal(mu, np.ldexp(spatial_median(np.ldexp(z, -600)), 600))
 
-    def test_nonconvergence_raises_with_payload(self):
+    def test_nonconvergence_raises_with_payload(self, monkeypatch):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(40, 2))
+        monkeypatch.setattr(robust, "_MEDIAN_MAX_STEPS", 1)
         with pytest.raises(ConvergenceError) as exc_info:
-            spatial_median(x, max_iter=1)
+            spatial_median(x)
         err = exc_info.value
         assert err.iterations == 1
         assert err.residual > 0
         assert err.last_iterate.shape == (2,)
+
+    def test_nonconvergence_fails_fast(self, monkeypatch):
+        # A zero tolerance cannot be met off the data points, so the
+        # iteration runs out its whole step budget: it fails after a bounded
+        # number of steps instead of stalling.
+        x = el.sample(el.spherical_model("t", 50, 5.0), 1000, np.random.default_rng(13))
+        monkeypatch.setattr(robust, "_MEDIAN_TOL", 0.0)
+        t0 = time.perf_counter()
+        with pytest.raises(ConvergenceError) as exc_info:
+            spatial_median(x)
+        assert time.perf_counter() - t0 < 5.0
+        assert exc_info.value.iterations == robust._MEDIAN_MAX_STEPS
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(3, 40), st.integers(2, 4)),
+                  elements=st.integers(-3, 3)),
+           st.sampled_from([1e-150, 1.0, 1e150]))
+    def test_a_fifth_of_the_step_budget_suffices(self, x, scale):
+        # The budget is over ten times the most steps a converging sample
+        # took in a fuzz; integer data with ties, scaled far from one, still
+        # converge within a fifth of it.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(robust, "_MEDIAN_MAX_STEPS", robust._MEDIAN_MAX_STEPS // 5)
+            mu = spatial_median(x * scale)
+        # At a data point the optimality test is exact on the integer data.
+        at = np.flatnonzero(np.all(x * scale == mu, axis=1))
+        assert _first_order_ok(x * scale, mu) or (at.size and _optimal_data_point(x, x[at[0]]))
 
 
 class TestMad:
