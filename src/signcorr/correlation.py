@@ -181,8 +181,8 @@ def _pair_rhos(v: np.ndarray, errors: dict) -> np.ndarray:
 
 def _pair_rho(x: np.ndarray) -> float:
     """Correlation of the bivariate sample ``x`` (n, 2) from its shape fit."""
-    errors = {}
-    rho = _pair_rhos(_shape_fit(x)[None], errors)
+    v, errors = _shape_fits(robust._stack_of_one(x))
+    rho = _pair_rhos(v, errors)
     if errors:
         raise errors[0]
     return float(rho[0])

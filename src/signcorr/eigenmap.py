@@ -36,15 +36,11 @@ from .exceptions import (
 # the iterate is accurate to roundoff; a run of fixed-point fallback steps
 # converges linearly, and stops a small multiple of _FP_TOL from the
 # solution. _FP_MAX_ITER is over ten times the most steps a fuzz needed (10,
-# at p up to 30, ratios down to 1e-14, ties). The relative misfit of an exact
-# inverse is rounding noise of a few ulps, far below _MISFIT_FLOOR: a
-# misfit below that floor which a Newton step no longer lowers has
-# converged.
+# at p up to 30, ratios down to 1e-14, ties).
 _SUM_TOL = 1e-9
 _NEG_TOL = 1e-12
 _FP_TOL = 1e-11
 _FP_MAX_ITER = 120
-_MISFIT_FLOOR = 256 * np.finfo(float).eps
 
 # 32-point Gauss-Legendre rule on [-1, 1], applied on every panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -119,12 +115,6 @@ def _integrands(lam):
     return common / q, w, v2, q
 
 
-def _integrate_all(lam):
-    """Every component integral at once, by one fixed Gauss-Legendre rule."""
-    f, w, _, _ = _integrands(lam)
-    return f @ w
-
-
 def _integrals_and_jacobian(lam):
     """The component integrals I and their Jacobian dI/dlam, on the same nodes.
 
@@ -177,9 +167,9 @@ def forward(lam) -> np.ndarray:
         out = np.zeros_like(lam)
         out[0] = 1.0
         return out
-    integrals = _integrate_all(lam[nz])
+    f, w, _, _ = _integrands(lam[nz])
     delta = np.zeros_like(lam)
-    delta[nz] = 0.5 * lam[nz] * integrals
+    delta[nz] = 0.5 * lam[nz] * (f @ w)
     drift = abs(delta.sum() - 1.0)
     if drift > 1e-9:
         raise QuadratureError(f"spectrum drift {drift:.3e} exceeds 1e-9")
@@ -234,8 +224,7 @@ def inverse_full(delta) -> FixedPointResult:
     the step is the fixed-point step that divides twice the target sign
     eigenvalue by the current component integral and renormalizes to sum
     one. The iteration stops when a step changes no eigenvalue by more than
-    ``_FP_TOL`` (1e-11) relative to itself, or when the misfit has stopped
-    falling at its rounding floor.
+    ``_FP_TOL`` (1e-11) relative to itself.
 
     ``iterations`` counts the steps taken (Newton or fixed-point; a
     rejected Newton trial is not a step), and ``residual`` is the relative
@@ -275,7 +264,6 @@ def inverse_full(delta) -> FixedPointResult:
         state = _linearization(d, lam)
         while steps < _FP_MAX_ITER:
             integrals, jac, misfit = state
-            worst = np.abs(misfit).max()
             trial = _newton_trial(d, lam, integrals, jac, misfit)
             # An overflow makes the sum of the trial inf, and so its entries
             # NaN or zero: the trial is usable when it is positive.
@@ -285,11 +273,9 @@ def inverse_full(delta) -> FixedPointResult:
                     lam, change, steps = trial, step, steps + 1
                     break
                 trial_state = _linearization(d, trial)
-                if np.abs(trial_state[2]).max() < worst:
+                if np.abs(trial_state[2]).max() < np.abs(misfit).max():
                     lam, state, change, steps = trial, trial_state, step, steps + 1
                     continue
-            if worst <= _MISFIT_FLOOR:
-                break
             trial = 2.0 * d / integrals
             trial /= trial.sum()
             change = float((np.abs(trial - lam) / lam).max())

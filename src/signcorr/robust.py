@@ -241,16 +241,18 @@ def _spatial_medians(z, k):
     for _ in range(_MEDIAN_MAX_STEPS):
         s, w, r, norm, eta = _sign_sums(d, dist)
         resid = norm / n
-        done = np.where(eta > 0, norm <= eta + slack, resid <= _MEDIAN_TOL)
+        done = resid <= _MEDIAN_TOL
         # Weiszfeld reaches a minimizer at a data point only sublinearly, so
-        # test the optimality condition at the nearest data point. It depends
-        # on that point alone, so a row tests each point once.
+        # test the optimality condition at the nearest data point, or the one
+        # the row sits on; it depends on that point alone, so once per point.
         nearest = np.argmin(dist, axis=1)
-        fresh = np.flatnonzero(~done & (eta == 0) & (nearest != tested))
+        fresh = np.flatnonzero(~done & (nearest != tested))
         if fresh.size:
             tested[fresh] = nearest[fresh]
             x_f = x[fresh]
             y = np.take_along_axis(x_f, nearest[fresh, None, None], axis=2)[:, :, 0]
+            # A row on a data point tests its own iterate, whose bits it keeps.
+            y = np.where(eta[fresh, None] > 0, m[fresh], y)
             *_, norm_y, eta_y = _sign_sums(*_offsets(x_f, y))
             optimal = norm_y <= eta_y + slack
             m[fresh[optimal]] = y[optimal]
@@ -302,8 +304,15 @@ _ZERO_MAD = "zero mad: more than half of the values tie"
 
 
 def _mads(x) -> np.ndarray:
-    """Median absolute deviation of each column of ``x`` (n, p); may be zero."""
-    return np.median(np.abs(x - np.median(x, axis=0)), axis=0)
+    """Median absolute deviation of each column of ``x`` (n, p); may be zero.
+
+    Columns where a middle value or a deviation overflows are halved and their
+    MAD doubled; only those, since halving loses the last bit of a subnormal."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.median(np.abs(x - np.median(x, axis=0)), axis=0)
+    if np.isfinite(m).all():
+        return m
+    return np.where(np.isfinite(m), m, 2.0 * _mads(0.5 * x))
 
 
 def mad(x) -> float:

@@ -129,6 +129,15 @@ class TestEigenmapCommand:
     def test_negative_rejected(self, capsys):
         assert main(["eigenmap", "forward", "--lambdas", "1.1,-0.1"]) == 2
 
+    @pytest.mark.parametrize("direction, flag, text, message", [
+        ("forward", "--lambdas", "1", "forward requires dimension >= 2"),
+        ("inverse", "--deltas", "nan,1", "spectrum entries must be finite"),
+        ("inverse", "--deltas", "0,0,0", "sign spectrum must sum to 1"),
+    ])
+    def test_spectrum_checked_by_the_map(self, capsys, direction, flag, text, message):
+        assert main(["eigenmap", direction, flag, text]) == 2
+        assert message in capsys.readouterr().err
+
     def test_unnormalized_warns_and_normalizes(self, capsys):
         assert main(["eigenmap", "forward", "--lambdas", "8,2"]) == 0
         captured = capsys.readouterr()

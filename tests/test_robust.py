@@ -249,6 +249,18 @@ class TestMad:
             b = float(rng.normal())
             assert mad(c * x + b) == pytest.approx(abs(c) * mad(x), rel=1e-12)
 
+    def test_no_overflow_near_the_float_maximum(self):
+        # Three of four values tie, so the MAD is zero; the plain median of
+        # the middle pair and the deviations from it overflow.
+        with pytest.raises(DegenerateScaleError):
+            mad([1.7e308, 1.7e308, 1.7e308, -1.7e308])
+        # Only such columns are halved: halving would zero this subnormal MAD.
+        assert mad([5e-324, 0.0, 5e-324, 1.0, -5e-324]) == 5e-324
+        x = np.array([[1.7e308, 1.0], [1.7e308, 2.0], [1.7e308, 0.5], [-1.7e308, 3.0]])
+        for estimator in (sc.sscor_two_stage, sc.pairwise_matrix, sc.multivariate_matrix):
+            with pytest.raises(DegenerateScaleError, match="column 0: zero mad"):
+                estimator(x)
+
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(InvalidInputError):
             mad([])
