@@ -117,14 +117,15 @@ def cmd_estimate(args) -> int:
 
 def _parse_spectrum(text: str) -> np.ndarray:
     """The comma-separated values, divided by their sum with a warning when it
-    is finite, positive and off one by more than 1e-9. The map they go to
-    checks size, finiteness, sign and sum (``eigenmap.as_spectrum``)."""
+    is finite, positive and off one by more than ``eigenmap._SUM_TOL``. The
+    map checks size, finiteness, sign and sum (``eigenmap.as_spectrum``)."""
     try:
         values = np.array([float(f) for f in text.split(",")], dtype=float)
     except ValueError as exc:
         raise InvalidInputError(f"invalid spectrum: {exc}") from exc
-    total = values.sum()
-    if np.isfinite(total) and total > 0.0 and abs(total - 1.0) > 1e-9:
+    with np.errstate(over="ignore"):  # an infinite sum is left to the map
+        total = values.sum()
+    if np.isfinite(total) and total > 0.0 and abs(total - 1.0) > eigenmap._SUM_TOL:
         print(
             f"warning: spectrum sums to {total:.17g}; normalizing",
             file=sys.stderr,

@@ -95,25 +95,18 @@ def _validated(data, *, bivariate=False) -> np.ndarray:
     return x
 
 
-def _standardized(x: np.ndarray) -> np.ndarray:
-    """Each column divided by its MAD; a zero MAD names its column.
-
-    Where a MAD is so small next to its column that a quotient would
-    overflow, every column is divided by its MAD and by one common power
-    of two 2**k: the shape fit scales each sample by a power of two anyway.
+def _standardized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column divided by its MAD, as the quotients x / (2 frac) and the
+    column exponents 1 - e, where MAD = frac * 2**e with frac in [0.5, 1); a
+    zero MAD names its column. 2 frac lies in [1, 2), so no quotient overflows;
+    ``robust._pow2_scaled`` applies the exponents with each row's power of two.
     """
     scales = robust._mads(x)
     bad = np.flatnonzero(scales == 0.0)
     if bad.size:
         raise DegenerateScaleError(f"column {bad[0]}: {robust._ZERO_MAD}")
-    # scales = frac * 2**e with frac in [0.5, 1), and max |x| < 2**e_x per
-    # column, so |x / scales| < 2**(e_x - e + 1), which must stay below 2**1023.
     frac, e = np.frexp(scales)
-    k = int(np.max(np.frexp(np.max(np.abs(x), axis=0))[1] - e)) + 2 - 1024
-    if k <= 0:
-        return x / scales
-    # 2 * frac lies in [1, 2), so x / (2 * frac) cannot overflow.
-    return np.ldexp(x / (2.0 * frac), 1 - e - k)
+    return x / (2.0 * frac), 1 - e
 
 
 # Entries (pairs times 2n) of one stack of column pairs in ``pairwise_matrix``:
@@ -122,8 +115,8 @@ def _standardized(x: np.ndarray) -> np.ndarray:
 _STACK_ENTRIES = 2**18
 
 
-def _shape_fits(z):
-    """Shape matrices (B, p, p) of the samples stacked in ``z`` (B, p, n).
+def _shape_fits(z, e):
+    """Shape matrices (B, p, p) of the samples ``z`` (B, p, n) times 2**e per column.
 
     The batched shape kernel: each row is centered at its spatial median,
     its SSCM eigenvalues are renormalized to sum one (when observations
@@ -132,7 +125,7 @@ def _shape_fits(z):
     once for the whole stack. Returns the matrices and {row: error} for
     the rows that failed; their matrices are meaningless.
     """
-    zs, k = robust._pow2_scaled(z)
+    zs, k = robust._pow2_scaled(z, e)
     centers, errors = robust._spatial_medians(zs, k)
     w, u = _sym_eigens(_sign_covariances(robust._signs(zs, centers)))
     w = np.maximum(w, 0.0)
@@ -156,9 +149,9 @@ def _shape_fits(z):
     return (u * lam[:, None, :]) @ u.swapaxes(1, 2), errors
 
 
-def _shape_fit(x: np.ndarray) -> np.ndarray:
-    """Shape matrix of the sample ``x`` (n, p): the kernel on a stack of one."""
-    v, errors = _shape_fits(robust._stack_of_one(x))
+def _shape_fit(x: np.ndarray, e) -> np.ndarray:
+    """Shape matrix of the sample ``x`` (n, p) times 2**e: the kernel on a stack of one."""
+    v, errors = _shape_fits(robust._stack_of_one(x), e)
     if errors:
         raise errors[0]
     return v[0]
@@ -179,9 +172,9 @@ def _pair_rhos(v: np.ndarray, errors: dict) -> np.ndarray:
     return np.clip(rho, -1.0, 1.0)
 
 
-def _pair_rho(x: np.ndarray) -> float:
-    """Correlation of the bivariate sample ``x`` (n, 2) from its shape fit."""
-    v, errors = _shape_fits(robust._stack_of_one(x))
+def _pair_rho(x: np.ndarray, e=0) -> float:
+    """Correlation of the bivariate sample ``x`` (n, 2) times 2**e, from its shape fit."""
+    v, errors = _shape_fits(robust._stack_of_one(x), e)
     rho = _pair_rhos(v, errors)
     if errors:
         raise errors[0]
@@ -202,7 +195,7 @@ def sscor(data) -> CorrelationEstimate:
 def sscor_two_stage(data) -> CorrelationEstimate:
     """Spatial sign correlation after MAD-standardizing each column."""
     x = _validated(data, bivariate=True)
-    rho = _pair_rho(_standardized(x))
+    rho = _pair_rho(*_standardized(x))
     return CorrelationEstimate(rho=rho, method="two_stage", n=x.shape[0])
 
 
@@ -237,14 +230,15 @@ def pairwise_matrix(data) -> CorrelationMatrixEstimate:
     DegenerateDataError.
     """
     x = _validated(data)
-    z = np.ascontiguousarray(_standardized(x).T)
+    q, e = _standardized(x)
+    z = np.ascontiguousarray(q.T)
     p = x.shape[1]
     first, second = np.triu_indices(p, k=1)
     rho = np.empty(first.size)
     block = max(1, _STACK_ENTRIES // (2 * x.shape[0]))
     for lo in range(0, first.size, block):
         i, j = first[lo:lo + block], second[lo:lo + block]
-        v, errors = _shape_fits(np.stack((z[i], z[j]), axis=1))
+        v, errors = _shape_fits(np.stack((z[i], z[j]), 1), np.stack((e[i], e[j]), 1))
         rho[lo:lo + block] = _pair_rhos(v, errors)
         if errors:
             b = min(errors)
@@ -267,7 +261,7 @@ def multivariate_matrix(data) -> CorrelationMatrixEstimate:
     in ``shape_estimate``.
     """
     x = _validated(data)
-    v = _shape_fit(_standardized(x))
+    v = _shape_fit(*_standardized(x))
     v = (v + v.T) / 2.0
     try:
         r = to_correlation(v)

@@ -12,7 +12,8 @@ is the family's radial law:
 
 All randomness flows through numpy's PCG64 generator. Replication streams
 are derived from a master seed with ``SeedSequence((seed, index))`` so that
-results do not depend on how replications are scheduled across workers.
+each replication's draws depend on its index alone, not on the order in
+which replications run.
 """
 
 from dataclasses import dataclass

@@ -7,10 +7,11 @@ row's arithmetic, reductions included, runs along its own contiguous
 axis, so a row's result does not depend on the rows stacked with it; the
 public functions are the stack of one.
 
-Before the location step each row is divided by one exact power of two
-that brings its largest entry below one. This changes no bit of the
-median, the signs or the SSCM wherever nothing over- or underflowed, and
-keeps squared distances finite for data of any finite range.
+Before the location step ``_pow2_scaled`` multiplies each column by its own
+power of two (the MAD exponents of the two-stage estimators) and each row by
+the one that brings its largest entry below one, in one ``np.ldexp``. Squared
+distances stay finite for data of any finite range, and no bit of the median,
+the signs or the SSCM changes wherever nothing over- or underflowed.
 
 All rows of a stack find their spatial medians in one iteration, and a
 row leaves the stack when it converges. Each step first tests whether the
@@ -81,14 +82,16 @@ def _norms(d):
     return np.sqrt(sq)
 
 
-def _pow2_scaled(z):
-    """Each row of ``z`` (B, p, n) divided by a power of two, and the exponents.
+def _pow2_scaled(z, e=0):
+    """``z`` (B, p, n) times 2**e per column and 2**-k per row, and k (B,).
 
-    The exponent k of a row is that of its largest magnitude, so the scaled
-    row lies in (-1, 1) and ``np.ldexp(scaled, k)`` is the row again.
+    The column exponents ``e`` broadcast to (B, p). k is the frexp exponent
+    of the row's largest |z * 2**e| (an all-zero column counts as 5e-324, not
+    as frexp's 0), so the result lies in (-1, 1). One ``np.ldexp`` applies
+    both powers: it never overflows, and is exact unless an entry is subnormal.
     """
-    k = np.frexp(np.max(np.abs(z), axis=(1, 2)))[1]
-    return np.ldexp(z, -k[:, None, None]), k
+    k = (np.frexp(np.abs(z).max(axis=2, initial=5e-324))[1] + e).max(axis=1)
+    return np.ldexp(z, (e - k[:, None])[:, :, None]), k
 
 
 def spatial_sign(x, center=None) -> np.ndarray:
@@ -114,11 +117,10 @@ def spatial_signs(data, center) -> np.ndarray:
 def _signs_of_one(x, c):
     """``_signs`` of the sample ``x`` (n, p) around ``c`` (p,), as a stack of one.
 
-    ``x`` and ``c`` are first divided by one power of two, which keeps the
-    squared residuals finite and changes no bit where nothing overflowed.
+    ``_pow2_scaled`` scales ``c`` with ``x``, as one more observation.
     """
-    k = np.frexp(max(np.max(np.abs(x)), np.max(np.abs(c))))[1]
-    return _signs(_stack_of_one(np.ldexp(x, -k)), np.ldexp(c, -k)[None])
+    z = _pow2_scaled(_stack_of_one(np.vstack((x, c))))[0]
+    return _signs(z[:, :, :-1], z[:, :, -1])
 
 
 def _signs(z, c):

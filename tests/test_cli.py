@@ -145,6 +145,13 @@ class TestEigenmapCommand:
         values = [float(v) for v in captured.out.strip().split(",")]
         assert np.allclose(values, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
+    @pytest.mark.parametrize("direction, flag", [("forward", "--lambdas"), ("inverse", "--deltas")])
+    def test_overflowing_sum_is_one_error_line(self, direction, flag):
+        proc = python("-m", "signcorr", "eigenmap", direction, flag, "1e308,1e308")
+        assert proc.returncode == 2
+        assert proc.stderr.endswith("spectrum must sum to 1, got inf\n")
+        assert proc.stderr.count("\n") == 1
+
     def test_missing_spectrum_flag(self, capsys):
         assert main(["eigenmap", "forward"]) == 2
         assert main(["eigenmap", "inverse"]) == 2
@@ -222,7 +229,10 @@ def test_python_dash_m_cli_module_runs_without_warning():
 
 
 def test_import_leaves_the_cli_and_thread_pool_unloaded():
+    # The benchmark's setup time is this import in a fresh interpreter: it
+    # loads no test-only dependency and builds no quadrature rule.
     proc = python("-c", "import sys, signcorr; print(sorted(m for m in "
-                  "('concurrent.futures', 'argparse', 'signcorr.cli') if m in sys.modules))")
+                  "('concurrent.futures', 'argparse', 'signcorr.cli', 'scipy', 'hypothesis') "
+                  "if m in sys.modules), signcorr.eigenmap._panel_rule.cache_info().currsize)")
     assert proc.returncode == 0
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[] 0\n"

@@ -161,6 +161,26 @@ class TestPowerOfTwoPrescale:
         for e in (-1000, -600, 600, 1000):
             assert sc.sscor(np.ldexp(x, e)).rho == rho
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), p=st.integers(2, 5),
+           exponents=st.lists(st.integers(-900, 900), min_size=5, max_size=5))
+    def test_column_and_joint_scalings_change_no_bit(self, seed, n, p, exponents):
+        # t3 draws pushed 1/2 away from zero, so that every entry and every
+        # MAD stays normal once scaled; standardization removes the exponents.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_t(3, size=(n, p))
+        x += np.copysign(0.5, x)
+        base_pairwise = sc.pairwise_matrix(x).matrix
+        base = sc.multivariate_matrix(x)
+        for e in (np.array(exponents[:p]), exponents[0]):
+            y = np.ldexp(x, e)
+            if p == 2:
+                assert sc.sscor_two_stage(y).rho == sc.sscor_two_stage(x).rho
+            assert np.array_equal(sc.pairwise_matrix(y).matrix, base_pairwise)
+            est = sc.multivariate_matrix(y)
+            assert np.array_equal(est.matrix, base.matrix)
+            assert np.array_equal(est.shape_estimate, base.shape_estimate)
+
 
 class TestConfidenceInterval:
     def test_formula_against_normal_quantile(self):

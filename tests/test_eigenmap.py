@@ -11,6 +11,7 @@ from signcorr import eigenmap as em
 from signcorr.exceptions import (
     ConvergenceError,
     InvalidInputError,
+    QuadratureError,
     RankDeficiencyError,
 )
 
@@ -38,6 +39,11 @@ class TestSpectrumConstruction:
     def test_sum_error_names_a_plain_float(self):
         with pytest.raises(InvalidInputError, match=r"must sum to 1, got 1\.1$"):
             em.forward([0.5, 0.6])
+
+    def test_overflowing_sum_is_an_input_error(self):
+        # The suite turns numpy's overflow RuntimeWarning into an error.
+        with pytest.raises(InvalidInputError, match=r"shape spectrum must sum to 1, got inf$"):
+            em.as_spectrum([1e308, 1e308])
 
     def test_rejects_negative(self):
         with pytest.raises(InvalidInputError):
@@ -80,6 +86,17 @@ class TestInverseP2:
 
 
 class TestForward:
+    def test_nan_drift_is_a_quadrature_error(self, monkeypatch):
+        integrands = em._integrands
+
+        def nan_integrands(lam):
+            f, *rest = integrands(lam)
+            return (np.full_like(f, np.nan), *rest)
+
+        monkeypatch.setattr(em, "_integrands", nan_integrands)
+        with pytest.raises(QuadratureError, match="spectrum drift nan"):
+            em.forward([0.5, 0.3, 0.2])
+
     def test_uniform_spectrum_fixed(self):
         for p in (2, 3, 7):
             u = np.full(p, 1.0 / p)

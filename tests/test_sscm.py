@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from signcorr.eigenmap import forward_p2
 from signcorr.exceptions import InvalidInputError
-from signcorr.robust import spatial_median
+from signcorr.robust import spatial_median, spatial_signs
 from signcorr.sscm import sscm, sscm_auto
 
 CROSS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -87,9 +87,11 @@ def test_scale_invariance_exact_for_binary_scalings():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(20, 3))
     t = rng.normal(size=3)
-    base = sscm(x, t).matrix
-    for c in (0.5, 2.0, 1024.0, 2.0**-20, 2.0**700, 2.0**-700):
-        assert np.array_equal(sscm(c * x, c * t).matrix, base)
+    base, signs = sscm(x, t).matrix, spatial_signs(x, t)
+    for e in (-1, 1, 10, -20, 600, -600, 700, -700, 1000, -1000):
+        y, c = np.ldexp(x, e), np.ldexp(t, e)
+        assert np.array_equal(sscm(y, c).matrix, base)
+        assert np.array_equal(spatial_signs(y, c), signs)
 
 
 def test_scale_invariance_general_factor():
