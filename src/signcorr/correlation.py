@@ -20,13 +20,17 @@ computed on its own, so a pairwise entry is bitwise the two-stage
 estimate on its pair, and at p=2 the multivariate estimate is the
 two-stage estimate up to rounding in the rescaling.
 
+``_pairwise_fits`` and ``_multivariate_fits`` standardize, fit and rescale
+a whole stack of samples, each sample failing on its own; the matrix
+estimators are their stack of one, and the Monte Carlo harness fits its
+replications with them.
+
 ``moment_matrix`` (plain Pearson) is the comparison baseline, and the
 asymptotic variance formulas give Wald confidence intervals for the
 two-stage estimator.
 """
 
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -37,7 +41,7 @@ from .exceptions import (
     InvalidInputError,
     SignCorrError,
 )
-from .linalg import _sym_eigens, to_correlation
+from .linalg import _correlations, _sym_eigens
 from .robust import as_data_matrix
 from .sscm import _sign_covariances
 
@@ -95,23 +99,34 @@ def _validated(data, *, bivariate=False) -> np.ndarray:
     return x
 
 
-def _standardized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each column divided by its MAD, as the quotients x / (2 frac) and the
-    column exponents 1 - e, where MAD = frac * 2**e with frac in [0.5, 1); a
-    zero MAD names its column. 2 frac lies in [1, 2), so no quotient overflows;
-    ``robust._pow2_scaled`` applies the exponents with each row's power of two.
+def _standardized(x: np.ndarray):
+    """Each column of each sample of the stack ``x`` (R, n, p) divided by its MAD.
+
+    Returns the quotients x / (2 frac) as a stack (R, p, n) for the kernel,
+    the column exponents 1 - e (R, p), where MAD = frac * 2**e with frac in
+    [0.5, 1), and {row: error} for the samples that are not finite or have
+    a zero MAD, which names its column; their quotients are meaningless.
+    2 frac lies in [1, 2), so no quotient overflows; ``robust._pow2_scaled``
+    applies the exponents with each row's power of two.
     """
+    finite = np.isfinite(x).all(axis=(1, 2))
+    errors = {int(b): InvalidInputError("data entries must be finite")
+              for b in np.flatnonzero(~finite)}
+    if errors:
+        x = np.where(finite[:, None, None], x, 0.0)
     scales = robust._mads(x)
-    bad = np.flatnonzero(scales == 0.0)
-    if bad.size:
-        raise DegenerateScaleError(f"column {bad[0]}: {robust._ZERO_MAD}")
-    frac, e = np.frexp(scales)
-    return x / (2.0 * frac), 1 - e
+    zero = scales == 0.0
+    for b, j in zip(*np.nonzero(zero)):
+        errors.setdefault(int(b), DegenerateScaleError(f"column {j}: {robust._ZERO_MAD}"))
+    frac, e = np.frexp(np.where(zero, 1.0, scales))
+    q = x / (2.0 * frac[:, None, :])
+    return np.ascontiguousarray(q.transpose(0, 2, 1)), 1 - e, errors
 
 
-# Entries (pairs times 2n) of one stack of column pairs in ``pairwise_matrix``:
-# this bounds its working memory to a few such arrays, 2 MiB each, and keeps
-# them in cache. No result depends on it: every row is computed on its own.
+# Entries of one stack in the shape kernel: samples times p times n, or column
+# pairs times 2n. This bounds the working memory to a few such arrays, 2 MiB
+# each, and keeps them in cache. No result depends on it: every row is
+# computed on its own.
 _STACK_ENTRIES = 2**18
 
 
@@ -149,14 +164,6 @@ def _shape_fits(z, e):
     return (u * lam[:, None, :]) @ u.swapaxes(1, 2), errors
 
 
-def _shape_fit(x: np.ndarray, e) -> np.ndarray:
-    """Shape matrix of the sample ``x`` (n, p) times 2**e: the kernel on a stack of one."""
-    v, errors = _shape_fits(robust._stack_of_one(x), e)
-    if errors:
-        raise errors[0]
-    return v[0]
-
-
 def _pair_rhos(v: np.ndarray, errors: dict) -> np.ndarray:
     """Correlations read off the 2x2 shape matrices ``v`` (B, 2, 2).
 
@@ -172,13 +179,80 @@ def _pair_rhos(v: np.ndarray, errors: dict) -> np.ndarray:
     return np.clip(rho, -1.0, 1.0)
 
 
-def _pair_rho(x: np.ndarray, e=0) -> float:
-    """Correlation of the bivariate sample ``x`` (n, 2) times 2**e, from its shape fit."""
-    v, errors = _shape_fits(robust._stack_of_one(x), e)
+def _pair_rho(z, e=0) -> float:
+    """Correlation of the bivariate stack of one ``z`` (1, 2, n) times 2**e, from its shape fit."""
+    v, errors = _shape_fits(z, e)
     rho = _pair_rhos(v, errors)
     if errors:
         raise errors[0]
     return float(rho[0])
+
+
+def _pairwise_fits(x):
+    """``pairwise_matrix`` of each sample of the stack ``x`` (R, n, p).
+
+    All pairs of all samples, sample by sample and each in row-major order,
+    go through the shape kernel in stacks of at most ``_STACK_ENTRIES``
+    entries. Returns the matrices (R, p, p), NaN for the failed samples,
+    and {sample: error}: the error of its first failing pair, with the pair
+    named when it is a DegenerateDataError.
+    """
+    z, e, errors = _standardized(x)
+    p, n = z.shape[1:]
+    first, second = np.triu_indices(p, k=1)
+    rows = _kept(len(z), errors)
+    rep, pair = np.divmod(np.arange(rows.size * first.size), first.size)
+    rep, i, j = rows[rep], first[pair], second[pair]
+    rho = np.empty(rep.size)
+    block = max(1, _STACK_ENTRIES // (2 * n))
+    for lo in range(0, rep.size, block):
+        b, bi, bj = rep[lo:lo + block], i[lo:lo + block], j[lo:lo + block]
+        v, failed = _shape_fits(np.stack((z[b, bi], z[b, bj]), 1),
+                                np.stack((e[b, bi], e[b, bj]), 1))
+        rho[lo:lo + block] = _pair_rhos(v, failed)
+        for k in sorted(failed):
+            exc = failed[k]
+            if isinstance(exc, DegenerateDataError):
+                exc = _caused(DegenerateDataError(f"pair ({bi[k]}, {bj[k]}): {exc}"), exc)
+            errors.setdefault(int(b[k]), exc)
+    r = np.tile(np.eye(p), (len(z), 1, 1))
+    r[rep, i, j] = r[rep, j, i] = rho
+    r[list(errors)] = np.nan
+    return r, errors
+
+
+def _multivariate_fits(x):
+    """``multivariate_matrix`` of each sample of the stack ``x`` (R, n, p).
+
+    Returns the correlation matrices (R, p, p) and the exactly symmetric
+    shape estimates, both NaN for the failed samples, and {sample: error}.
+    """
+    z, e, errors = _standardized(x)
+    rows = _kept(len(z), errors)
+    v, failed = _shape_fits(z[rows], e[rows])
+    fitted = _kept(rows.size, failed)
+    v = v[fitted]
+    v = (v + v.swapaxes(1, 2)) / 2.0
+    r, degenerate = _correlations(v)
+    for k, exc in degenerate.items():
+        named = DegenerateDataError(f"degenerate shape estimate: {exc}")
+        failed[int(fitted[k])] = _caused(named, exc)
+    errors.update((int(rows[k]), exc) for k, exc in failed.items())
+    out = np.full((2, len(z)) + v.shape[1:], np.nan)
+    out[:, rows[fitted]] = r, v
+    out[:, list(errors)] = np.nan
+    return out[0], out[1], errors
+
+
+def _kept(size, errors):
+    """The indices below ``size`` that are not keys of ``errors``, ascending."""
+    return np.setdiff1d(np.arange(size), list(errors))
+
+
+def _caused(exc, cause):
+    """``exc`` raised from ``cause``, as ``raise exc from cause`` sets it."""
+    exc.__cause__ = cause
+    return exc
 
 
 def sscor(data) -> CorrelationEstimate:
@@ -189,13 +263,17 @@ def sscor(data) -> CorrelationEstimate:
     and reads the correlation off the rebuilt shape matrix.
     """
     x = _validated(data, bivariate=True)
-    return CorrelationEstimate(rho=_pair_rho(x), method="sscor", n=x.shape[0])
+    rho = _pair_rho(robust._stack_of_one(x))
+    return CorrelationEstimate(rho=rho, method="sscor", n=x.shape[0])
 
 
 def sscor_two_stage(data) -> CorrelationEstimate:
     """Spatial sign correlation after MAD-standardizing each column."""
     x = _validated(data, bivariate=True)
-    rho = _pair_rho(*_standardized(x))
+    z, e, errors = _standardized(x[None])
+    if errors:
+        raise errors[0]
+    rho = _pair_rho(z, e)
     return CorrelationEstimate(rho=rho, method="two_stage", n=x.shape[0])
 
 
@@ -209,6 +287,8 @@ def confidence_interval(est: CorrelationEstimate, level: float) -> ConfidenceInt
         raise InvalidInputError(f"level must lie in (0, 1), got {float(level)}")
     if est.n < 3:
         raise InvalidInputError("need at least 3 observations")
+    from statistics import NormalDist  # loaded here, not on ``import signcorr``
+
     z = NormalDist().inv_cdf((1.0 + level) / 2.0)
     half = z * np.sqrt(asv_two_stage(est.rho) / est.n)
     return ConfidenceInterval(
@@ -230,25 +310,10 @@ def pairwise_matrix(data) -> CorrelationMatrixEstimate:
     DegenerateDataError.
     """
     x = _validated(data)
-    q, e = _standardized(x)
-    z = np.ascontiguousarray(q.T)
-    p = x.shape[1]
-    first, second = np.triu_indices(p, k=1)
-    rho = np.empty(first.size)
-    block = max(1, _STACK_ENTRIES // (2 * x.shape[0]))
-    for lo in range(0, first.size, block):
-        i, j = first[lo:lo + block], second[lo:lo + block]
-        v, errors = _shape_fits(np.stack((z[i], z[j]), 1), np.stack((e[i], e[j]), 1))
-        rho[lo:lo + block] = _pair_rhos(v, errors)
-        if errors:
-            b = min(errors)
-            exc = errors[b]
-            if isinstance(exc, DegenerateDataError):
-                raise DegenerateDataError(f"pair ({i[b]}, {j[b]}): {exc}") from exc
-            raise exc
-    r = np.eye(p)
-    r[first, second] = r[second, first] = rho
-    return CorrelationMatrixEstimate(matrix=r, method="pairwise", n=x.shape[0])
+    r, errors = _pairwise_fits(x[None])
+    if errors:
+        raise errors[0]
+    return CorrelationMatrixEstimate(matrix=r[0], method="pairwise", n=x.shape[0])
 
 
 def multivariate_matrix(data) -> CorrelationMatrixEstimate:
@@ -261,14 +326,11 @@ def multivariate_matrix(data) -> CorrelationMatrixEstimate:
     in ``shape_estimate``.
     """
     x = _validated(data)
-    v = _shape_fit(*_standardized(x))
-    v = (v + v.T) / 2.0
-    try:
-        r = to_correlation(v)
-    except DegenerateScaleError as exc:
-        raise DegenerateDataError(f"degenerate shape estimate: {exc}") from exc
+    r, v, errors = _multivariate_fits(x[None])
+    if errors:
+        raise errors[0]
     return CorrelationMatrixEstimate(
-        matrix=r, method="multivariate", n=x.shape[0], shape_estimate=v
+        matrix=r[0], method="multivariate", n=x.shape[0], shape_estimate=v[0]
     )
 
 

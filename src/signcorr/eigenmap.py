@@ -42,9 +42,6 @@ _NEG_TOL = 1e-12
 _FP_TOL = 1e-11
 _FP_MAX_ITER = 120
 
-# 32-point Gauss-Legendre rule on [-1, 1], applied on every panel.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
 
 def as_spectrum(values, *, kind="shape") -> np.ndarray:
     """Validate and canonicalize a trace-normalized eigenvalue sequence.
@@ -83,12 +80,15 @@ def _panel_rule(k):
     on the k + 1 panels [0, 2^-k], ..., [1/4, 1/2], [1/2, 1].
 
     k is at most 538 for a positive double, so the cache stays small; its
-    arrays are read-only because every caller shares them.
+    arrays are read-only because every caller shares them. The 32-point
+    Gauss-Legendre rule on [-1, 1] is built here, on first use, so that
+    importing the module does not load ``numpy.polynomial``.
     """
+    nodes, weights = np.polynomial.legendre.leggauss(32)
     breaks = np.concatenate(([0.0], 0.5 ** np.arange(k, -1, -1)))
     half = np.diff(breaks)[:, None] / 2.0
-    u = ((breaks[:-1, None] + half) + half * _GL_NODES).ravel()
-    w = (half * _GL_WEIGHTS).ravel()
+    u = ((breaks[:-1, None] + half) + half * nodes).ravel()
+    w = (half * weights).ravel()
     u2 = u * u
     rule = (u2, 1.0 - u2, np.log(u), w)
     for a in rule:

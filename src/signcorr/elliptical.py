@@ -16,6 +16,10 @@ each replication's draws depend on its index alone, not on the order in
 which replications run.
 """
 
+# Annotations stay strings, so that importing this module does not load
+# ``numpy.random`` for ``np.random.Generator``.
+from __future__ import annotations
+
 from dataclasses import dataclass
 
 import numpy as np

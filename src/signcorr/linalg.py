@@ -67,14 +67,28 @@ def to_correlation(v) -> np.ndarray:
         If some diagonal entry is not strictly positive (the message names
         the first offending index).
     """
-    v = symmetrize(v)
-    d = np.diag(v)
-    bad = np.flatnonzero(d <= 0.0)
-    if bad.size:
-        raise DegenerateScaleError(
-            f"nonpositive diagonal entry {float(d[bad[0]])} at index {bad[0]}"
-        )
-    s = 1.0 / np.sqrt(d)
-    r = v * np.outer(s, s)
-    np.fill_diagonal(r, 1.0)
-    return r
+    r, errors = _correlations(symmetrize(v)[None])
+    if errors:
+        raise errors[0]
+    return r[0]
+
+
+def _correlations(v):
+    """``to_correlation`` of each matrix of the symmetric stack ``v`` (B, p, p).
+
+    Returns the matrices and {row: DegenerateScaleError} for the rows with a
+    nonpositive diagonal entry; their matrices are zero off the diagonal.
+    """
+    d = np.diagonal(v, axis1=1, axis2=2)
+    bad = d <= 0.0
+    errors = {}
+    for b, i in zip(*np.nonzero(bad)):
+        errors.setdefault(int(b), DegenerateScaleError(
+            f"nonpositive diagonal entry {float(d[b, i])} at index {i}"
+        ))
+    failed = bad.any(axis=1)[:, None]
+    s = np.where(failed, 0.0, 1.0 / np.sqrt(np.where(failed, 1.0, d)))
+    r = v * (s[:, :, None] * s[:, None, :])
+    idx = np.arange(v.shape[1])
+    r[:, idx, idx] = 1.0
+    return r, errors

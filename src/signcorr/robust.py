@@ -306,12 +306,14 @@ _ZERO_MAD = "zero mad: more than half of the values tie"
 
 
 def _mads(x) -> np.ndarray:
-    """Median absolute deviation of each column of ``x`` (n, p); may be zero.
+    """Median absolute deviation of each column of the finite ``x`` (..., n, p),
+    over the observation axis -2; may be zero. Each column's MAD is the same,
+    bit for bit, in a stack of samples as alone.
 
     Columns where a middle value or a deviation overflows are halved and their
     MAD doubled; only those, since halving loses the last bit of a subnormal."""
     with np.errstate(over="ignore", invalid="ignore"):
-        m = np.median(np.abs(x - np.median(x, axis=0)), axis=0)
+        m = np.median(np.abs(x - np.median(x, axis=-2, keepdims=True)), axis=-2)
     if np.isfinite(m).all():
         return m
     return np.where(np.isfinite(m), m, 2.0 * _mads(0.5 * x))

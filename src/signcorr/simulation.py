@@ -4,9 +4,14 @@ An experiment draws spherical data repeatedly, applies the requested
 correlation estimators and reports n times the empirical variance of one
 off-diagonal entry. Each replication gets its own RNG stream derived from
 (seed, replication index), so the result is byte-identical from run to
-run. Replications run one after another in the calling thread.
+run. The harness samples the replications in chunks of at most
+``correlation._STACK_ENTRIES`` entries; ``pairwise`` and ``multivariate``
+fit each chunk as one stack in the shape kernel, whose rows are computed on
+their own, so no value depends on the chunk. ``moment`` runs sample by
+sample.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +49,12 @@ class ExperimentConfig:
             raise InvalidInputError(
                 f"unknown family {self.family!r}, expected one of {tuple(FAMILY_TAGS)}"
             )
+        for name in ("p", "n", "reps", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
         if self.p < 2:
             raise InvalidInputError(f"p must be >= 2, got {self.p}")
         if self.n < 3:
@@ -73,22 +84,30 @@ class ExperimentResult:
     stats: tuple = field(default_factory=tuple)
 
 
-def _replicate(cfg: ExperimentConfig, model, index: int) -> dict:
-    """Entry (1,2) of each requested estimator on one fresh sample."""
-    rng = replication_rng(cfg.seed, index)
-    x = sample(model, cfg.n, rng)
-    out = {}
-    for name in cfg.estimators:
+def _entries(name: str, x: np.ndarray) -> np.ndarray:
+    """Entry (1,2) of estimator ``name`` on each sample of the stack ``x``
+    (R, n, p); NaN where the estimator fails. ``pairwise`` and
+    ``multivariate`` fit the whole stack at once; ``moment`` is called
+    sample by sample through ``correlation.ESTIMATORS``."""
+    if name == "pairwise":
+        return correlation._pairwise_fits(x)[0][:, 0, 1]
+    if name == "multivariate":
+        return correlation._multivariate_fits(x)[0][:, 0, 1]
+    out = np.empty(len(x))
+    for i, sample_i in enumerate(x):
         try:
-            out[name] = float(correlation.ESTIMATORS[name](x).matrix[0, 1])
+            out[i] = correlation.ESTIMATORS[name](sample_i).matrix[0, 1]
         except SignCorrError:
-            out[name] = np.nan
+            out[i] = np.nan
     return out
 
 
 def run_experiment(cfg: ExperimentConfig, *, threads: int = 1) -> ExperimentResult:
     """Run all replications and aggregate per-estimator scaled variances.
 
+    Replication r draws its sample from ``replication_rng(seed, r)``; the
+    samples are drawn and fitted in chunks of at most
+    ``correlation._STACK_ENTRIES`` entries (replications times p times n).
     The standard error of the scaled variance comes from the empirical
     fourth moment of the replication values. Failed replications are
     counted, never silently dropped; an estimator with fewer than two
@@ -97,31 +116,39 @@ def run_experiment(cfg: ExperimentConfig, *, threads: int = 1) -> ExperimentResu
     """
     family, df = FAMILY_TAGS[cfg.family]
     model = spherical_model(family, cfg.p, df)
-    records = [_replicate(cfg, model, r) for r in range(cfg.reps)]
+    values = {name: np.empty(cfg.reps) for name in cfg.estimators}
+    chunk = max(1, correlation._STACK_ENTRIES // (cfg.p * cfg.n))
+    for lo in range(0, cfg.reps, chunk):
+        x = np.stack([sample(model, cfg.n, replication_rng(cfg.seed, r))
+                      for r in range(lo, min(lo + chunk, cfg.reps))])
+        for name in cfg.estimators:
+            values[name][lo:lo + len(x)] = _entries(name, x)
+    stats = tuple(_estimator_stats(cfg, name, values[name]) for name in cfg.estimators)
+    return ExperimentResult(config=cfg, stats=stats)
 
-    stats = []
-    for name in cfg.estimators:
-        values = np.array([rec[name] for rec in records])
-        ok = values[np.isfinite(values)]
-        failed = cfg.reps - ok.size
-        if ok.size < 2:
-            raise DegenerateDataError(
-                f"estimator {name!r}: {failed} of {cfg.reps} replications failed; "
-                "variance undefined"
-            )
-        r = ok.size
-        var = float(np.var(ok, ddof=1))
-        centred = ok - ok.mean()
-        m2 = float(np.mean(centred**2))
-        m4 = float(np.mean(centred**4))
-        var_of_var = max(m4 - (r - 3) / (r - 1) * m2 * m2, 0.0) / r
-        stats.append(EstimatorStats(
-            estimator=name,
-            scaled_variance=cfg.n * var,
-            mc_stderr=cfg.n * float(np.sqrt(var_of_var)),
-            reps_failed=failed,
-        ))
-    return ExperimentResult(config=cfg, stats=tuple(stats))
+
+def _estimator_stats(cfg: ExperimentConfig, name: str, values: np.ndarray) -> EstimatorStats:
+    """Scaled variance and its standard error from the replication values of
+    one estimator, NaN where a replication failed."""
+    ok = values[np.isfinite(values)]
+    failed = cfg.reps - ok.size
+    if ok.size < 2:
+        raise DegenerateDataError(
+            f"estimator {name!r}: {failed} of {cfg.reps} replications failed; "
+            "variance undefined"
+        )
+    r = ok.size
+    var = float(np.var(ok, ddof=1))
+    centred = ok - ok.mean()
+    m2 = float(np.mean(centred**2))
+    m4 = float(np.mean(centred**4))
+    var_of_var = max(m4 - (r - 3) / (r - 1) * m2 * m2, 0.0) / r
+    return EstimatorStats(
+        estimator=name,
+        scaled_variance=cfg.n * var,
+        mc_stderr=cfg.n * float(np.sqrt(var_of_var)),
+        reps_failed=failed,
+    )
 
 
 @dataclass(frozen=True)

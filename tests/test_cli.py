@@ -230,9 +230,11 @@ def test_python_dash_m_cli_module_runs_without_warning():
 
 def test_import_leaves_the_cli_and_thread_pool_unloaded():
     # The benchmark's setup time is this import in a fresh interpreter: it
-    # loads no test-only dependency and builds no quadrature rule.
+    # loads no test-only dependency, builds no quadrature rule, and leaves
+    # the modules that only sampling, the rule and intervals use unloaded.
     proc = python("-c", "import sys, signcorr; print(sorted(m for m in "
-                  "('concurrent.futures', 'argparse', 'signcorr.cli', 'scipy', 'hypothesis') "
+                  "('concurrent.futures', 'argparse', 'signcorr.cli', 'scipy', 'hypothesis', "
+                  "'numpy.random', 'numpy.polynomial', 'statistics') "
                   "if m in sys.modules), signcorr.eigenmap._panel_rule.cache_info().currsize)")
     assert proc.returncode == 0
     assert proc.stdout == "[] 0\n"
