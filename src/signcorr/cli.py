@@ -13,9 +13,11 @@ failure, 4 internal invariant violation.
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -26,8 +28,12 @@ from .simulation import csv_row
 
 
 def _read_data_csv(path):
-    """Parse a CSV of observations; auto-detect an optional header row.
+    """Parse a UTF-8 CSV of observations; auto-detect an optional header row.
 
+    A leading byte-order mark is dropped. Blank records are skipped; the
+    first other record is a header when any of its fields is not a number,
+    and every record has its width. numpy's C reader parses the data rows;
+    when it fails, or reads a different width, ``_records`` decides.
     Returns an (n, p) float array. Malformed fields are reported with their
     line number.
     """
@@ -35,26 +41,62 @@ def _read_data_csv(path):
         raise InvalidInputError(f"input file not found: {path}")
     if not os.access(path, os.R_OK):
         raise InvalidInputError(f"input file not readable: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"input file is not UTF-8 text: {path}: {exc}") from None
+    data = _in_bulk(text)
+    return data if data is not None else _records(text, path)
+
+
+def _in_bulk(text):
+    """The data rows of ``text`` as read by ``np.loadtxt``, or None where it
+    fails or may not match ``_records``."""
+    buf = io.StringIO(text, newline="")
+    start = 0
+    for record in csv.reader(buf):
+        if any(f.strip() for f in record):
+            break
+        start = buf.tell()
+    else:
+        return None
+    try:
+        [float(f) for f in record]
+    except ValueError:
+        start = buf.tell()  # header row
+    buf.seek(start)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            data = np.loadtxt(buf, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape[0] and data.shape[1] == len(record) else None
+
+
+def _records(text, path):
+    """``text`` parsed record by record with ``float``, reporting the first
+    malformed record."""
     rows, width = [], None
-    with open(path, newline="") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            if not record or all(f.strip() == "" for f in record):
-                continue
-            if width is None:
-                width = len(record)
-                try:
-                    rows.append([float(f) for f in record])
-                    continue
-                except ValueError:
-                    continue  # header row
-            if len(record) != width:
-                raise InvalidInputError(
-                    f"line {lineno}: expected {width} fields, got {len(record)}"
-                )
+    for lineno, record in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if not record or all(f.strip() == "" for f in record):
+            continue
+        if width is None:
+            width = len(record)
             try:
                 rows.append([float(f) for f in record])
-            except ValueError as exc:
-                raise InvalidInputError(f"line {lineno}: {exc}") from exc
+                continue
+            except ValueError:
+                continue  # header row
+        if len(record) != width:
+            raise InvalidInputError(
+                f"line {lineno}: expected {width} fields, got {len(record)}"
+            )
+        try:
+            rows.append([float(f) for f in record])
+        except ValueError as exc:
+            raise InvalidInputError(f"line {lineno}: {exc}") from exc
     if not rows:
         raise InvalidInputError(f"no data rows in {path}")
     return np.array(rows, dtype=float)

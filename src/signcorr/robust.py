@@ -24,6 +24,11 @@ step; this resolves in a few steps the minimizers just off a data point,
 where Weiszfeld crawls. Otherwise the row takes the Weiszfeld step, or
 the Vardi-Zhang step when it sits on a data point, which keeps it moving
 where Weiszfeld would stall.
+
+The coordinatewise medians, those of the MAD and the spatial median's
+starting point, come from ``_medians``: one partition at the upper middle
+rank, bitwise ``np.median`` on finite data and cheaper, since
+``np.median`` also partitions at the lower middle rank and at its NaN check.
 """
 
 import numpy as np
@@ -92,6 +97,23 @@ def _pow2_scaled(z, e=0):
     """
     k = (np.frexp(np.abs(z).max(axis=2, initial=5e-324))[1] + e).max(axis=1)
     return np.ldexp(z, (e - k[:, None])[:, :, None]), k
+
+
+def _medians(x, axis):
+    """``np.median(x, axis)`` of the finite ``x``, bit for bit, from one partition.
+
+    np.median partitions at both middle ranks and at -1 (its NaN check), and
+    takes the mean of the middle values; that mean sums from +0.0, so a
+    median is never -0.0 unless it underflows there. Here one partition at
+    n // 2 gives the upper middle value, and the maximum of the lower half
+    the lower one.
+    """
+    n = x.shape[axis]
+    k = n // 2
+    part = np.moveaxis(np.partition(x, k, axis=axis), axis, -1)
+    if n % 2:
+        return part[..., k] + 0.0
+    return (part[..., :k].max(axis=-1) + part[..., k] + 0.0) / 2.0
 
 
 def spatial_sign(x, center=None) -> np.ndarray:
@@ -229,7 +251,7 @@ def _spatial_medians(z, k):
     they converge.
     """
     n = z.shape[2]
-    mu = np.median(z, axis=2)
+    mu = _medians(z, 2)
     rows = np.arange(z.shape[0])
     x, m = z, mu.copy()
     d, dist = _offsets(x, m)
@@ -313,7 +335,7 @@ def _mads(x) -> np.ndarray:
     Columns where a middle value or a deviation overflows are halved and their
     MAD doubled; only those, since halving loses the last bit of a subnormal."""
     with np.errstate(over="ignore", invalid="ignore"):
-        m = np.median(np.abs(x - np.median(x, axis=-2, keepdims=True)), axis=-2)
+        m = _medians(np.abs(x - _medians(x, -2)[..., None, :]), -2)
     if np.isfinite(m).all():
         return m
     return np.where(np.isfinite(m), m, 2.0 * _mads(0.5 * x))

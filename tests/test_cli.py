@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from signcorr import multivariate_matrix
-from signcorr.cli import main
+from signcorr.cli import _read_data_csv, main
+from signcorr.exceptions import InvalidInputError
 
 CROSS_CSV = "1,0\n0,1\n-1,0\n0,-1\n"
 
@@ -106,6 +108,116 @@ class TestEstimate:
             "--output", "/no/such/dir/out.csv",
         ])
         assert code == 2
+
+
+def read_record_by_record(path):
+    """The CSV reader as it was before the bulk parse: ``float`` on each field
+    of each ``csv`` record. The reference for the ingest corpus."""
+    rows, width = [], None
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, record in enumerate(csv.reader(fh), start=1):
+            if not record or all(f.strip() == "" for f in record):
+                continue
+            if width is None:
+                width = len(record)
+                try:
+                    rows.append([float(f) for f in record])
+                    continue
+                except ValueError:
+                    continue  # header row
+            if len(record) != width:
+                raise InvalidInputError(
+                    f"line {lineno}: expected {width} fields, got {len(record)}"
+                )
+            try:
+                rows.append([float(f) for f in record])
+            except ValueError as exc:
+                raise InvalidInputError(f"line {lineno}: {exc}") from exc
+    if not rows:
+        raise InvalidInputError(f"no data rows in {path}")
+    return np.array(rows, dtype=float)
+
+
+def outcome(read, path):
+    try:
+        data = read(path)
+    except InvalidInputError as exc:
+        return "error", str(exc)
+    return data.shape, data.tobytes()
+
+
+INGEST_CORPUS = {
+    "header": "a,b\n1,2\n3,4\n",
+    "no header": "1,2\n3,4\n",
+    "leading blank lines": "\n\n1,2\n3,4\n",
+    "leading all-blank records": ",,\n , \n1.5,2\n3,4\n",
+    "blank records inside": "x,y\n1,2\n\n,\n3,4\n\n",
+    "whitespace-only line": "1,2\n   \n3,4\n",
+    "crlf": "a,b\r\n1,2\r\n3,4\r\n",
+    "cr": "1,2\r3,4\r",
+    "no final newline": "1,2\n3,4",
+    "quoted fields": '"a","b"\n"1","2"\n"3",4\n',
+    "quoted newline": '"1\n",2\n3,4\n',
+    "text after a closing quote": '"1.5"2,3\n4,5\n',
+    "quote inside a field": '1"2",3\n4,5\n',
+    "doubled quotes": '"1""2",3\n4,5\n',
+    "space before a quote": ' "1",2\n3,4\n',
+    "space-padded fields": " 1 , 2 \n3,\t4\n",
+    "underscore digits": "1_0,2\n3,4\n",
+    "non-ASCII digits": "١,2\n3,4\n",
+    "nan and inf": "nan,1\ninf,-Infinity\n2,3\n",
+    "overflowing literal": "1e999,1\n2,3\n",
+    "signed zeros and exponents": "-0,+0\n1e5,1E-5\n.5,5.\n",
+    "hash inside a field": "1,2#\n3,4\n",
+    "hash line": "# comment\n1,2\n",
+    "trailing comma": "1,2,\n3,4,\n",
+    "trailing comma after a header": "a,b\n1,2,\n3,4\n",
+    "ragged row": "1,2\n3\n",
+    "ragged header": "a,b\n1,2,3\n",
+    "header wider than the data": "a,b,c\n1,2\n3,4\n",
+    "two header-like rows": "a,b\nc,d\n1,2\n",
+    "bad field": "1,2\n3,oops\n5,6\n",
+    "empty field": '1,2\n"",""\n3,4\n',
+    "header only": "a,b\n",
+    "header and blank lines": "a,b\n\n\n",
+    "empty file": "",
+    "blank file": "\n \n",
+    "single column": "1\n2\n3\n",
+    "single column with header": "x\n1\n-2.5\n",
+    "single value": "7\n",
+    "semicolons": "1;2\n3;4\n",
+    "form feed": "1,2\x0c\n3,4\n",
+    "large values": "a\n1.7e308\n-1.7e308\n",
+}
+
+
+class TestIngest:
+    @pytest.mark.parametrize("text", INGEST_CORPUS.values(), ids=INGEST_CORPUS.keys())
+    def test_bulk_parse_matches_the_record_reader(self, tmp_path, capsys, text):
+        path = str(tmp_path / "in.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        expected = outcome(read_record_by_record, path)
+        assert outcome(_read_data_csv, path) == expected
+        code = main(["estimate", "--method", "moment", "--input", path])
+        if expected[0] == "error":
+            assert (code, capsys.readouterr().err) == (2, f"error: {expected[1]}\n")
+
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5,2\n3,4.5\n5,7\n8,1\n")
+        expected = np.array([[1.5, 2.0], [3.0, 4.5], [5.0, 7.0], [8.0, 1.0]])
+        assert np.array_equal(_read_data_csv(str(path)), expected)
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1.5,2\n3,4.5\n")
+        assert np.array_equal(_read_data_csv(str(path)), expected[:2])
+
+    def test_undecodable_file_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("café,b\n1,2\n3,4\n5,6\n".encode("latin-1"))
+        assert main(["estimate", "--method", "moment", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: input file is not UTF-8 text: {path}: ")
+        assert "can't decode byte 0xe9" in err
 
 
 class TestEigenmapCommand:

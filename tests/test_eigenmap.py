@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import elliprd
 
 from signcorr import eigenmap as em
+from signcorr import simulation as sim
 from signcorr.exceptions import (
     ConvergenceError,
     InvalidInputError,
@@ -128,9 +129,10 @@ class TestForward:
 
     def test_matches_carlson_rd_p3(self):
         # for p = 3, d_i = (1/3) (prod lam)^(-1/2) R_D(1/lam_j, 1/lam_k, 1/lam_i)
-        # (Carlson 1995); the eps spectra put one eigenvalue far below the rest
+        # (Carlson 1995); Dirichlet(0.2) puts entries down to 1e-10, and the
+        # eps spectra one eigenvalue far below the rest
         rng = np.random.default_rng(9)
-        batch = [v for v in rng.dirichlet(np.full(3, 0.3), 300) if v.min() > 1e-12]
+        batch = [v for v in rng.dirichlet(np.full(3, 0.2), 300) if v.min() > 1e-10]
         eps = [[0.6, 0.4 - e, e] for e in (1e-9, 1e-10, 1e-11)]
         for lam in batch + eps:
             lam = em.as_spectrum(lam)
@@ -141,7 +143,7 @@ class TestForward:
             t0 = time.perf_counter()
             delta = em.forward(lam)
             assert time.perf_counter() - t0 <= 1.0
-            assert np.max(np.abs(delta - expected) / expected) <= 1e-13
+            assert np.max(np.abs(delta - expected) / expected) <= 1e-14
 
     def test_matches_monte_carlo_oracle(self):
         # eigenvalues of E[s s^T] under N(0, diag(lam)) estimated directly;
@@ -325,3 +327,28 @@ def test_equidistant_high_dimension_regime():
     lam = np.sort(2.0 * np.arange(1, p + 1) / (p * (p + 1)))[::-1]
     gap = np.max(np.abs(em.forward(lam) - lam))
     assert 1e-4 <= gap <= 4e-4
+
+
+# Largest relative remainder of the large-p expansion at each p, as measured:
+# equidistant about 5.3 / p**2, spiked and Dirichlet(2) (seed 13) as listed.
+LARGE_P_REMAINDER = {
+    101: {"spiked": 3.5e-2, "dirichlet": 6e-3},
+    301: {"spiked": 6e-3, "dirichlet": 4.5e-4},
+    1001: {"spiked": 6.5e-4, "dirichlet": 2e-4},
+}
+
+
+def test_large_p_expansion():
+    # delta_i = lam_i (1 - 2 lam_i + 2 |lam|^2) + O(|lam|^3) as p grows
+    rng = np.random.default_rng(13)
+    for p, bounds in LARGE_P_REMAINDER.items():
+        spectra = {
+            "equidistant": sim.eigen_scenario("equidistant", p).spectrum,
+            "spiked": sim.eigen_scenario("spiked", p).spectrum,
+            "dirichlet": np.sort(rng.dirichlet(np.full(p, 2.0)))[::-1],
+        }
+        bounds = {"equidistant": 5.5 / p**2, **bounds}
+        for kind, lam in spectra.items():
+            delta = em.forward(lam)
+            expansion = lam * (1.0 - 2.0 * lam + 2.0 * np.sum(lam * lam))
+            assert np.max(np.abs(delta - expansion) / delta) <= bounds[kind], (kind, p)

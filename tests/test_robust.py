@@ -1,11 +1,12 @@
 import time
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import signcorr as sc
 from signcorr import elliptical as el
@@ -225,6 +226,52 @@ class TestSpatialMedian:
         # At a data point the optimality test is exact on the integer data.
         at = np.flatnonzero(np.all(x * scale == mu, axis=1))
         assert _first_order_ok(x * scale, mu) or (at.size and _optimal_data_point(x, x[at[0]]))
+
+
+# Ties, signed zeros, subnormals and values whose sum overflows.
+MEDIAN_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0, 2.0]),
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+)
+
+
+class TestMedians:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=4, max_side=7),
+                  elements=MEDIAN_ENTRIES))
+    def test_bitwise_np_median(self, x):
+        for axis in (-1, -2):
+            with np.errstate(over="ignore"):
+                got, want = robust._medians(x, axis), np.median(x, axis=axis)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_signed_zero_and_subnormal_middles(self):
+        # The mean of the middle pair sums from +0.0: -0.0 only by underflow.
+        for pair, want in (([-0.0], 0.0), ([-0.0, -0.0], 0.0), ([-5e-324, -0.0], -0.0)):
+            got = robust._medians(np.array(pair)[None], -1)[0]
+            assert got == want and np.signbit(got) == np.signbit(want)
+
+    def test_mads_overflow_retry(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(3, 8, 4))
+        # The middle pair 1.5e308, 1.6e308 overflows its sum; halved, the MAD is 1.5e307.
+        column = [-1.7e308] * 3 + [1.5e308, 1.6e308] + [1.7e308] * 3
+        x[:, :, 0] = [rng.permutation(column) for _ in range(3)]
+        x[:, :5, 1] = 1.7e308  # a tie of five: the MAD is zero
+        x[:, 5:, 1] = -1.7e308
+        x[:, :, 3] *= 1e-320
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = robust._mads(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = np.median(np.abs(x - np.median(x, axis=-2, keepdims=True)), axis=-2)
+            h = 0.5 * x
+            halved = 2.0 * np.median(np.abs(h - np.median(h, axis=-2, keepdims=True)), axis=-2)
+        assert not np.isfinite(plain[:, 0]).any() and np.isfinite(got).all()
+        assert np.array_equal(got, np.where(np.isfinite(plain), plain, halved))
+        assert np.all(got[:, 1] == 0.0) and np.all(got[:, 0] > 0.0)
 
 
 class TestMad:
