@@ -228,6 +228,76 @@ class TestSpatialMedian:
         assert _first_order_ok(x * scale, mu) or (at.size and _optimal_data_point(x, x[at[0]]))
 
 
+def _fermat_torricelli(x):
+    """Spatial median of a triangle: the vertex with an angle of at least
+    120 degrees, or the point with trilinear coordinates csc(A + 60 deg)."""
+    angle, side = [], []
+    for i in range(3):
+        p, q, r = x[i], x[(i + 1) % 3], x[(i + 2) % 3]
+        u, v = q - p, r - p
+        cos = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
+        angle.append(np.arccos(np.clip(cos, -1.0, 1.0)))
+        side.append(np.linalg.norm(r - q))
+    for i in range(3):
+        if angle[i] >= 2.0 * np.pi / 3.0:
+            return x[i]
+    w = np.array([side[i] / np.sin(angle[i] + np.pi / 3.0) for i in range(3)])
+    return w @ x / w.sum()
+
+
+def _four_point_median(x):
+    """Spatial median of four points: where the diagonals of the convex
+    quadrilateral cross, or the point inside the triangle of the others."""
+    for (i, j), (k, m) in (((0, 2), (1, 3)), ((0, 1), (2, 3)), ((0, 3), (1, 2))):
+        s, t = np.linalg.solve(np.column_stack([x[j] - x[i], x[k] - x[m]]), x[k] - x[i])
+        if 0.0 < s < 1.0 and 0.0 < t < 1.0:
+            return x[i] + s * (x[j] - x[i])
+    for i in range(4):
+        others = np.delete(x, i, axis=0)
+        weights = np.linalg.solve(np.vstack([others.T, np.ones(3)]), np.append(x[i], 1.0))
+        if np.all(weights > 0.0):
+            return x[i]
+    raise AssertionError("degenerate four-point sample")
+
+
+# Four nearly collinear points in convex position, MAD-scaled from
+# simulate --dist normal --p 3 --n 4 --reps 200 --seed 3 (replication 52):
+# a single half Newton step did not lower the objective there, and the
+# Weiszfeld steps left the median 3e-4 from converged after 200 steps.
+NEAR_COLLINEAR = np.array([
+    [-0.48775083774966277, -1.0890277416309544],
+    [-0.48295204987470114, -1.0461611453160464],
+    [-0.3470323602096171, 0.024136968445809547],
+    [0.033420505888021756, 1.5109772634896317],
+])
+
+
+class TestExactMediansP2:
+    @staticmethod
+    def samples(n):
+        rng = np.random.default_rng(n)
+        for _ in range(300):
+            yield True, rng.normal(size=(n, 2))
+        for eps in (1e-2, 1e-3, 1e-4, 1e-6):
+            for _ in range(100):
+                turn = rng.uniform(0.0, 2.0 * np.pi)
+                rot = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+                line = np.column_stack([rng.normal(size=n), eps * rng.normal(size=n)])
+                yield False, line @ rot.T
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_the_closed_form(self, n):
+        oracle = _fermat_torricelli if n == 3 else _four_point_median
+        extra = [(True, NEAR_COLLINEAR)] if n == 4 else []
+        for well_posed, x in [*extra, *self.samples(n)]:
+            mu, exact = spatial_median(x), oracle(x)
+            # Near-collinear samples are flat along the line: the objective
+            # pins the median there, not its position.
+            assert _objective(x, mu) <= _objective(x, exact) * (1.0 + 1e-10)
+            if well_posed or n == 3:
+                assert np.max(np.abs(mu - exact)) <= 1e-7 * np.max(np.abs(x))
+
+
 # Ties, signed zeros, subnormals and values whose sum overflows.
 MEDIAN_ENTRIES = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0, 2.0]),
