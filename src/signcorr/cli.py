@@ -39,6 +39,8 @@ def _read_data_csv(path):
     """
     if not os.path.exists(path):
         raise InvalidInputError(f"input file not found: {path}")
+    if not os.path.isfile(path):
+        raise InvalidInputError(f"input is not a regular file: {path}")
     if not os.access(path, os.R_OK):
         raise InvalidInputError(f"input file not readable: {path}")
     try:
@@ -105,6 +107,8 @@ def _records(text, path):
 def _check_writable(path):
     if path is None:
         return
+    if os.path.isdir(path):
+        raise InvalidInputError(f"output location is a directory: {path}")
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
         raise InvalidInputError(f"output location not writable: {path}")

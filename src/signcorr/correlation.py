@@ -20,14 +20,13 @@ computed on its own, so a pairwise entry is bitwise the two-stage
 estimate on its pair, and at p=2 the multivariate estimate is the
 two-stage estimate up to rounding in the rescaling.
 
-``_pairwise_fits`` and ``_multivariate_fits`` standardize, fit and rescale
-a whole stack of samples, each sample failing on its own; the matrix
-estimators are their stack of one, and the Monte Carlo harness fits its
-replications with them.
-
 ``moment_matrix`` (plain Pearson) is the comparison baseline, and the
 asymptotic variance formulas give Wald confidence intervals for the
-two-stage estimator.
+two-stage estimator. Every estimator is one stacked fit over samples
+(R, n, p), each sample failing on its own; the Monte Carlo harness looks
+them up in ``FITS``. Each public function is its stack of one, and
+``sscor_two_stage`` is the p=2 ``pairwise_matrix``: on one pair the two give
+one answer or one error.
 """
 
 from dataclasses import dataclass
@@ -109,11 +108,7 @@ def _standardized(x: np.ndarray):
     2 frac lies in [1, 2), so no quotient overflows; ``robust._pow2_scaled``
     applies the exponents with each row's power of two.
     """
-    finite = np.isfinite(x).all(axis=(1, 2))
-    errors = {int(b): InvalidInputError("data entries must be finite")
-              for b in np.flatnonzero(~finite)}
-    if errors:
-        x = np.where(finite[:, None, None], x, 0.0)
+    x, errors = _finite(x)
     scales = robust._mads(x)
     zero = scales == 0.0
     for b, j in zip(*np.nonzero(zero)):
@@ -179,15 +174,6 @@ def _pair_rhos(v: np.ndarray, errors: dict) -> np.ndarray:
     return np.clip(rho, -1.0, 1.0)
 
 
-def _pair_rho(z, e=0) -> float:
-    """Correlation of the bivariate stack of one ``z`` (1, 2, n) times 2**e, from its shape fit."""
-    v, errors = _shape_fits(z, e)
-    rho = _pair_rhos(v, errors)
-    if errors:
-        raise errors[0]
-    return float(rho[0])
-
-
 def _pairwise_fits(x):
     """``pairwise_matrix`` of each sample of the stack ``x`` (R, n, p).
 
@@ -244,6 +230,46 @@ def _multivariate_fits(x):
     return out[0], out[1], errors
 
 
+def _moment_fits(x):
+    """``moment_matrix`` of each sample of the stack ``x`` (R, n, p): the
+    Pearson matrices (R, p, p), NaN for the failed samples, and {sample: error}."""
+    x, errors = _finite(x)
+    z = np.ascontiguousarray(x.transpose(0, 2, 1))
+    hi, lo = z.max(axis=2), z.min(axis=2)
+    flat = hi == lo  # exactly: the variance of equal entries may round to above zero
+    for b, j in zip(*np.nonzero(flat)):
+        errors.setdefault(int(b), DegenerateScaleError(f"column {j} has zero variance"))
+    # An exact power-of-two scale per column keeps the products in range.
+    z = np.ldexp(z, -np.frexp(np.maximum(hi, -lo))[1][:, :, None])
+    # Each reduction runs along one row's contiguous axis, so a sample is
+    # bitwise its stack of one; the divisions are ``np.corrcoef``'s.
+    z -= z.mean(axis=2, keepdims=True)
+    c = (z @ z.swapaxes(1, 2)) * (1.0 / (z.shape[2] - 1))
+    s = np.sqrt(np.where(flat, 1.0, np.diagonal(c, axis1=1, axis2=2)))
+    r = c / s[:, :, None] / s[:, None, :]
+    r = np.clip((r + r.swapaxes(1, 2)) / 2.0, -1.0, 1.0)
+    r[:, np.eye(r.shape[1], dtype=bool)] = 1.0
+    r[list(errors)] = np.nan
+    return r, errors
+
+
+def _fit_one(fit, x):
+    """The results of the stacked ``fit`` on the one sample ``x``, or its error raised."""
+    *results, errors = fit(x[None])
+    if errors:
+        raise errors[0]
+    return [a[0] for a in results]
+
+
+def _finite(x):
+    """The stack ``x`` (R, n, p) with its samples that have a non-finite entry
+    set to zero, and {sample: error} for those samples."""
+    finite = np.isfinite(x).all(axis=(1, 2))
+    errors = {int(b): InvalidInputError("data entries must be finite")
+              for b in np.flatnonzero(~finite)}
+    return (np.where(finite[:, None, None], x, 0.0) if errors else x), errors
+
+
 def _kept(size, errors):
     """The indices below ``size`` that are not keys of ``errors``, ascending."""
     return np.setdiff1d(np.arange(size), list(errors))
@@ -263,18 +289,18 @@ def sscor(data) -> CorrelationEstimate:
     and reads the correlation off the rebuilt shape matrix.
     """
     x = _validated(data, bivariate=True)
-    rho = _pair_rho(robust._stack_of_one(x))
-    return CorrelationEstimate(rho=rho, method="sscor", n=x.shape[0])
+    v, errors = _shape_fits(robust._stack_of_one(x), 0)
+    rho = _pair_rhos(v, errors)
+    if errors:
+        raise errors[0]
+    return CorrelationEstimate(rho=float(rho[0]), method="sscor", n=x.shape[0])
 
 
 def sscor_two_stage(data) -> CorrelationEstimate:
-    """Spatial sign correlation after MAD-standardizing each column."""
+    """Spatial sign correlation of MAD-standardized columns: the p=2 ``pairwise_matrix``."""
     x = _validated(data, bivariate=True)
-    z, e, errors = _standardized(x[None])
-    if errors:
-        raise errors[0]
-    rho = _pair_rho(z, e)
-    return CorrelationEstimate(rho=rho, method="two_stage", n=x.shape[0])
+    [r] = _fit_one(_pairwise_fits, x)
+    return CorrelationEstimate(rho=float(r[0, 1]), method="two_stage", n=x.shape[0])
 
 
 def confidence_interval(est: CorrelationEstimate, level: float) -> ConfidenceInterval:
@@ -301,19 +327,14 @@ def confidence_interval(est: CorrelationEstimate, level: float) -> ConfidenceInt
 def pairwise_matrix(data) -> CorrelationMatrixEstimate:
     """Two-stage spatial sign correlations for all variable pairs.
 
-    The columns are MAD-standardized once; then all pairs, in row-major
-    order, go through the shape kernel in stacks of at most
-    ``_STACK_ENTRIES`` entries. The assembled matrix has unit diagonal and
-    symmetric entries but is not guaranteed positive semi-definite. A
-    failing pair fails the whole estimate: the first one in row-major
-    order raises its error, with the pair named when it is a
-    DegenerateDataError.
+    The matrix has unit diagonal and symmetric entries but is not
+    guaranteed positive semi-definite. A failing pair fails the whole
+    estimate: the first one in row-major order raises its error, with the
+    pair named when it is a DegenerateDataError.
     """
     x = _validated(data)
-    r, errors = _pairwise_fits(x[None])
-    if errors:
-        raise errors[0]
-    return CorrelationMatrixEstimate(matrix=r[0], method="pairwise", n=x.shape[0])
+    [r] = _fit_one(_pairwise_fits, x)
+    return CorrelationMatrixEstimate(matrix=r, method="pairwise", n=x.shape[0])
 
 
 def multivariate_matrix(data) -> CorrelationMatrixEstimate:
@@ -326,37 +347,30 @@ def multivariate_matrix(data) -> CorrelationMatrixEstimate:
     in ``shape_estimate``.
     """
     x = _validated(data)
-    r, v, errors = _multivariate_fits(x[None])
-    if errors:
-        raise errors[0]
+    r, v = _fit_one(_multivariate_fits, x)
     return CorrelationMatrixEstimate(
-        matrix=r[0], method="multivariate", n=x.shape[0], shape_estimate=v[0]
+        matrix=r, method="multivariate", n=x.shape[0], shape_estimate=v
     )
 
 
 def moment_matrix(data) -> CorrelationMatrixEstimate:
     """Plain Pearson correlation matrix (the classical baseline)."""
     x = as_data_matrix(data)
-    n, p = x.shape
-    if n < 2:
-        raise InvalidInputError(f"need at least 2 observations, got {n}")
-    # An exact power-of-two scale per column leaves the correlation bitwise
-    # unchanged and keeps ``var`` and ``corrcoef`` from over- or underflowing.
-    x = np.ldexp(x, -np.frexp(np.max(np.abs(x), axis=0))[1])
-    var = np.var(x, axis=0)
-    bad = np.flatnonzero(var == 0.0)
-    if bad.size:
-        raise DegenerateScaleError(f"column {bad[0]} has zero variance")
-    r = np.atleast_2d(np.corrcoef(x, rowvar=False))
-    r = np.clip((r + r.T) / 2.0, -1.0, 1.0)
-    np.fill_diagonal(r, 1.0)
-    return CorrelationMatrixEstimate(matrix=r, method="moment", n=n)
+    if len(x) < 2:
+        raise InvalidInputError(f"need at least 2 observations, got {len(x)}")
+    [r] = _fit_one(_moment_fits, x)
+    return CorrelationMatrixEstimate(matrix=r, method="moment", n=len(x))
 
 
-# Estimators by the name the CLI and the simulation harness use.
+# Estimators by the name the CLI uses.
 ESTIMATORS = {
     "moment": moment_matrix,
     "pairwise": pairwise_matrix,
     "multivariate": multivariate_matrix,
     "two-stage": sscor_two_stage,
 }
+
+# Stacked fits by the name the simulation harness uses. Each takes samples
+# (R, n, p) and returns the matrices (R, p, p) first, NaN for the failed
+# samples, and {sample: error} last.
+FITS = {"moment": _moment_fits, "pairwise": _pairwise_fits, "multivariate": _multivariate_fits}

@@ -5,10 +5,9 @@ correlation estimators and reports n times the empirical variance of one
 off-diagonal entry. Each replication gets its own RNG stream derived from
 (seed, replication index), so the result is byte-identical from run to
 run. The harness samples the replications in chunks of at most
-``correlation._STACK_ENTRIES`` entries; ``pairwise`` and ``multivariate``
-fit each chunk as one stack in the shape kernel, whose rows are computed on
-their own, so no value depends on the chunk. ``moment`` runs sample by
-sample.
+``correlation._STACK_ENTRIES`` entries and fits each chunk with the
+estimators' stacked fits, ``correlation.FITS``, whose rows are computed on
+their own, so no value depends on the chunk.
 """
 
 import operator
@@ -18,9 +17,9 @@ import numpy as np
 
 from . import correlation, eigenmap
 from .elliptical import replication_rng, sample, spherical_model
-from .exceptions import DegenerateDataError, InvalidInputError, SignCorrError
+from .exceptions import DegenerateDataError, InvalidInputError
 
-ESTIMATORS = ("moment", "pairwise", "multivariate")
+ESTIMATORS = tuple(correlation.FITS)
 
 FAMILY_TAGS = {
     "normal": ("normal", None),
@@ -84,35 +83,17 @@ class ExperimentResult:
     stats: tuple = field(default_factory=tuple)
 
 
-def _entries(name: str, x: np.ndarray) -> np.ndarray:
-    """Entry (1,2) of estimator ``name`` on each sample of the stack ``x``
-    (R, n, p); NaN where the estimator fails. ``pairwise`` and
-    ``multivariate`` fit the whole stack at once; ``moment`` is called
-    sample by sample through ``correlation.ESTIMATORS``."""
-    if name == "pairwise":
-        return correlation._pairwise_fits(x)[0][:, 0, 1]
-    if name == "multivariate":
-        return correlation._multivariate_fits(x)[0][:, 0, 1]
-    out = np.empty(len(x))
-    for i, sample_i in enumerate(x):
-        try:
-            out[i] = correlation.ESTIMATORS[name](sample_i).matrix[0, 1]
-        except SignCorrError:
-            out[i] = np.nan
-    return out
-
-
 def run_experiment(cfg: ExperimentConfig, *, threads: int = 1) -> ExperimentResult:
     """Run all replications and aggregate per-estimator scaled variances.
 
     Replication r draws its sample from ``replication_rng(seed, r)``; the
-    samples are drawn and fitted in chunks of at most
-    ``correlation._STACK_ENTRIES`` entries (replications times p times n).
-    The standard error of the scaled variance comes from the empirical
-    fourth moment of the replication values. Failed replications are
-    counted, never silently dropped; an estimator with fewer than two
-    successes fails the experiment. ``threads`` is accepted for
-    compatibility; replications run in the calling thread.
+    samples are drawn in chunks of at most ``correlation._STACK_ENTRIES``
+    entries (replications times p times n), each fitted in one call of each
+    estimator's stacked fit. The standard error of the scaled variance comes
+    from the empirical fourth moment of the replication values. Failed
+    replications are counted, never silently dropped; an estimator with
+    fewer than two successes fails the experiment. ``threads`` is accepted
+    for compatibility; replications run in the calling thread.
     """
     family, df = FAMILY_TAGS[cfg.family]
     model = spherical_model(family, cfg.p, df)
@@ -122,7 +103,7 @@ def run_experiment(cfg: ExperimentConfig, *, threads: int = 1) -> ExperimentResu
         x = np.stack([sample(model, cfg.n, replication_rng(cfg.seed, r))
                       for r in range(lo, min(lo + chunk, cfg.reps))])
         for name in cfg.estimators:
-            values[name][lo:lo + len(x)] = _entries(name, x)
+            values[name][lo:lo + len(x)] = correlation.FITS[name](x)[0][:, 0, 1]
     stats = tuple(_estimator_stats(cfg, name, values[name]) for name in cfg.estimators)
     return ExperimentResult(config=cfg, stats=stats)
 

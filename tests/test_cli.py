@@ -39,6 +39,12 @@ class TestEstimate:
         assert code == 3
         assert "column 1" in capsys.readouterr().err
 
+    def test_constant_column_moment_exit_3(self, tmp_path, capsys):
+        # A column of 0.1 is rejected at any n, as pairwise rejects its zero MAD.
+        path = write(tmp_path, "const.csv", "a,b\n" + "".join(f"{i},0.1\n" for i in range(1, 8)))
+        assert main(["estimate", "--method", "moment", "--input", path]) == 3
+        assert capsys.readouterr().err == "error: column 1 has zero variance\n"
+
     def test_json_round_trip(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         data = rng.normal(size=(40, 3))
@@ -97,6 +103,10 @@ class TestEstimate:
     def test_missing_input(self, capsys):
         assert main(["estimate", "--method", "moment", "--input", "/nope.csv"]) == 2
 
+    def test_directory_input(self, tmp_path, capsys):
+        assert main(["estimate", "--method", "moment", "--input", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: input is not a regular file: {tmp_path}\n"
+
     def test_two_stage_needs_two_columns(self, tmp_path, capsys):
         path = write(tmp_path, "p3.csv", "1,2,3\n4,5,6\n7,8,10\n")
         assert main(["estimate", "--method", "two-stage", "--input", path]) == 2
@@ -108,6 +118,12 @@ class TestEstimate:
             "--output", "/no/such/dir/out.csv",
         ])
         assert code == 2
+
+    def test_directory_output(self, tmp_path, capsys):
+        path = write(tmp_path, "cross.csv", CROSS_CSV)
+        code = main(["estimate", "--method", "moment", "--input", path, "--output", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: output location is a directory: {tmp_path}\n"
 
 
 def read_record_by_record(path):

@@ -2,13 +2,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 import signcorr as sc
-from signcorr import eigenmap, linalg, robust
+from signcorr import correlation, eigenmap, linalg, robust
 from signcorr import elliptical as el
 from signcorr.correlation import CorrelationEstimate
 from signcorr.exceptions import (
@@ -22,6 +22,16 @@ CROSS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 # MAD 5e-187: MAD-standardized, the column reaches 1.7e192, whose square
 # overflows, while the 1 it maps 5e-187 to is 1e-192 of that.
 OVERFLOW_COLUMN = [-831642.0, 1e-209, -860436.0, 593162.0, 5e-187, 0.0, 0.0]
+
+
+def p2_outcome(estimator, x):
+    """The correlation the estimator gives on the pair ``x``, or the class and
+    message of its SignCorrError."""
+    try:
+        est = estimator(x)
+    except SignCorrError as exc:
+        return type(exc), str(exc)
+    return est.rho if isinstance(est, CorrelationEstimate) else est.matrix[0, 1]
 
 
 @pytest.fixture(scope="module")
@@ -251,12 +261,15 @@ class TestPairwiseMatrix:
         st.integers(0, 2**32 - 1),
         st.integers(3, 60),
         st.integers(2, 6),
-        st.sampled_from(["t3", "rounded", "copy", "constant"]),
+        st.sampled_from(["t3", "rounded", "copy", "constant", "overflow"]),
     )
+    @example(0, 7, 2, "constant")  # a zero MAD
+    @example(0, 7, 2, "overflow")  # a collapsed sign covariance
     def test_entries_are_the_two_stage_estimate_bitwise(self, seed, n, p, kind):
         # All pairs go through one batched kernel; each entry must still be
         # exactly the two-stage estimate on its own pair, and a failing
         # estimate must fail like the first failing pair in row-major order.
+        # On one pair, two-stage and pairwise give one answer or one error.
         rng = np.random.default_rng(seed)
         x = rng.standard_t(3, size=(n, p))
         if kind == "rounded":  # ties and coinciding observations
@@ -265,7 +278,12 @@ class TestPairwiseMatrix:
             x[:, -1] = x[:, 0]
         elif kind == "constant":
             x[: n // 2 + 1, -1] = 0.0
+        elif kind == "overflow":
+            x[:, -1] = np.resize(OVERFLOW_COLUMN, n)
         pairs = list(zip(*np.triu_indices(p, k=1)))
+        for i, j in pairs:
+            pair = x[:, [i, j]]
+            assert p2_outcome(sc.sscor_two_stage, pair) == p2_outcome(sc.pairwise_matrix, pair)
         try:
             r = sc.pairwise_matrix(x).matrix
         except DegenerateScaleError as exc:
@@ -280,7 +298,7 @@ class TestPairwiseMatrix:
                 except SignCorrError as pair_exc:
                     assert type(pair_exc) is type(exc)
                     if isinstance(exc, DegenerateDataError):
-                        assert str(exc) == f"pair ({i}, {j}): {pair_exc}"
+                        assert str(exc) == f"pair ({i}, {j}): {pair_exc.__cause__}"
                     return
             raise AssertionError(f"pairwise raised {exc!r} where every pair succeeds")
         for i, j in pairs:
@@ -339,7 +357,7 @@ class TestPairwiseMatrix:
             sc.pairwise_matrix(x)
         with pytest.raises(DegenerateDataError) as pair_info:
             sc.sscor_two_stage(x[:, [0, 2]])
-        assert str(exc_info.value) == f"pair (0, 2): {pair_info.value}"
+        assert str(exc_info.value) == f"pair (0, 2): {pair_info.value.__cause__}"
 
 
 class TestMultivariateMatrix:
@@ -481,8 +499,59 @@ class TestMomentMatrix:
             assert np.array_equal(r, expected)
 
     def test_constant_column_rejected(self):
-        with pytest.raises(DegenerateScaleError, match="column 1"):
-            sc.moment_matrix(np.column_stack([np.arange(4.0), np.full(4, 2.0)]))
+        # Equal entries have no spread, whatever the rounding of their mean:
+        # after the prescale, np.var of a column of 0.1 is 1.2e-32 at n=7 and
+        # 0 at n=5. Last of two columns, and in the middle of three.
+        for value in (2.0, 0.1, 0.7, 1.0 / 3.0, -5e-324, 0.0, -0.0):
+            for n in range(2, 201):
+                t = np.arange(float(n))
+                for x in (np.column_stack([t, np.full(n, value)]),
+                          np.column_stack([t, np.full(n, value), t**2])):
+                    with pytest.raises(DegenerateScaleError, match="^column 1 has zero variance$"):
+                        sc.moment_matrix(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    reps=st.integers(1, 6),
+    n=st.integers(2, 40),
+    p=st.integers(1, 5),
+    kind=st.sampled_from(["normal", "t1", "rounded"]),
+    scales=st.lists(st.sampled_from([1.0, 2.0**1000, 2.0**-1000, 1e300, 1e-300]),
+                    min_size=5, max_size=5),
+    spoiled=st.lists(st.sampled_from([None, np.inf, -np.inf, np.nan]), min_size=6, max_size=6),
+)
+def test_stacked_moment_fit(seed, reps, n, p, kind, scales, spoiled):
+    # Each sample of a stack fits as its stack of one, the public call: the
+    # same bits, or the same error. Its matrix is np.corrcoef's on the
+    # power-of-two prescaled sample up to rounding, exactly symmetric, with a
+    # unit diagonal and no entry beyond 1 in magnitude.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((reps, n, p)) if kind == "normal" else rng.standard_t(1, (reps, n, p))
+    if kind == "rounded":  # ties, and constant columns
+        x = np.round(x)
+    with np.errstate(over="ignore"):  # an overflow is an infinite entry
+        x = x * scales[:p]
+    for b in range(reps):
+        if spoiled[b] is not None:
+            x[b, rng.integers(n), rng.integers(p)] = spoiled[b]
+    r, errors = correlation._moment_fits(x)
+    assert r.shape == (reps, p, p)
+    for b in range(reps):
+        if b in errors:
+            assert np.isnan(r[b]).all()
+            with pytest.raises(type(errors[b])) as info:
+                sc.moment_matrix(x[b])
+            assert (type(info.value), str(info.value)) == (type(errors[b]), str(errors[b]))
+            continue
+        m = sc.moment_matrix(x[b]).matrix
+        assert r[b].tobytes() == m.tobytes()
+        scaled = np.ldexp(x[b], -np.frexp(np.max(np.abs(x[b]), axis=0))[1])
+        assert np.max(np.abs(m - np.corrcoef(scaled, rowvar=False))) <= 1e-15
+        assert np.array_equal(m, m.T)
+        assert np.array_equal(np.diag(m), np.ones(p))
+        assert np.max(np.abs(m)) <= 1.0
 
 
 class TestPublicCallChain:

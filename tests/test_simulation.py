@@ -61,16 +61,20 @@ class TestRunExperiment:
         assert serial == pooled
 
     def test_failures_counted(self, monkeypatch):
-        calls = {"i": 0}
-        real = correlation.ESTIMATORS["moment"]
+        seen = {"rows": 0}
+        real = correlation.FITS["moment"]
 
         def flaky(x):
-            calls["i"] += 1
-            if calls["i"] <= 3:
-                raise DegenerateDataError("synthetic failure")
-            return real(x)
+            # The first three samples the harness fits fail.
+            r, errors = real(x)
+            for b in range(len(x)):
+                if seen["rows"] < 3:
+                    r[b] = np.nan
+                    errors[b] = DegenerateDataError("synthetic failure")
+                seen["rows"] += 1
+            return r, errors
 
-        monkeypatch.setitem(correlation.ESTIMATORS, "moment", flaky)
+        monkeypatch.setitem(correlation.FITS, "moment", flaky)
         cfg = sim.ExperimentConfig(
             family="normal", p=2, n=20, reps=10, seed=9, estimators=("moment",)
         )
@@ -79,9 +83,11 @@ class TestRunExperiment:
 
     def test_all_failures_raise(self, monkeypatch):
         def broken(x):
-            raise DegenerateDataError("synthetic failure")
+            p = x.shape[2]
+            return (np.full((len(x), p, p), np.nan),
+                    {b: DegenerateDataError("synthetic failure") for b in range(len(x))})
 
-        monkeypatch.setitem(correlation.ESTIMATORS, "moment", broken)
+        monkeypatch.setitem(correlation.FITS, "moment", broken)
         cfg = sim.ExperimentConfig(
             family="normal", p=2, n=20, reps=5, seed=10, estimators=("moment",)
         )
